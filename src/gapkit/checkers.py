@@ -136,7 +136,8 @@ def product_k_closed_form(G: GapSet, H: GapSet, j: int) -> int:
     """
     if j < 0:
         raise ValueError(f"index must be nonnegative, got {j}")
-    pairs = sum(1 for u in G.elements if u < j and (j - u) in H)
+    mask = H._mask
+    pairs = sum(mask >> (j - u) & 1 for u in G.elements if u < j)
     return gap_function_eval(G, j + 1) + gap_function_eval(H, j + 1) + pairs
 
 

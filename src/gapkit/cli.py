@@ -1,13 +1,16 @@
 """Command-line front end: every library operation, with text and JSON output.
 
 Exit codes: 0 success or pass, 1 a checked fail (fail verdict, violations
-found, or a failed validation query), 2 usage or input errors.
+found, or a failed validation query), 2 usage or input errors, 3 an internal
+error (a cross-check disagreed or a worker process died), 141 when stdout was
+closed before the output was written (as under `| head`).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from functools import reduce
@@ -331,13 +334,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
     except (NotNumerical, NotGapForm, BadExpansion, GenusMismatch, ConfigInvalid, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so the exit flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:  # BrokenProcessPool is a RuntimeError too
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -166,25 +166,23 @@ def inf_conv_eval(gap_sets: Sequence[ConvInput], k: int) -> int:
     rest take the remainder, whose minimum is the same minimization over one
     input fewer.  For k at or beyond the cutoff sum every term can sit at 0.
     """
-    sets = tuple(_as_gap_set(x) for x in gap_sets)
+    sets = tuple(map(_as_gap_set, gap_sets))
     if not sets:
         raise ValueError("at least one input required")
+    if len(sets) == 1:
+        return gap_function_eval(sets[0], k)
     return _direct_min(sets, k)
 
 
 def _direct_min(sets: tuple[GapSet, ...], k: int) -> int:
-    if len(sets) == 1:
-        return gap_function_eval(sets[0], k)
-    rest = sets[:-1]
-    last = sets[-1:]
-    rest_reach = _reach(rest)
-    last_reach = _reach(last)
-    lo = k - rest_reach
-    if lo >= last_reach:
+    """The full-window minimum at k for two or more inputs."""
+    last_reach = sets[-1].max_gap + 1
+    rs = _values_from(sets[:-1], k - last_reach)
+    if not rs:  # k beyond the cutoff sum: every term sits at 0
         return 0
-    # x runs up through the window while the remainder k - x runs down it
-    xs = _values_from(last, lo)
-    rs = _values_from(rest, k - last_reach)
+    # x runs up through [k - rest_reach, last_reach], as many points as rs has,
+    # while the remainder k - x runs down rs
+    xs = _values_from(sets[-1:], last_reach + 1 - len(rs))
     return min(map(add, xs, reversed(rs)))
 
 
@@ -194,19 +192,46 @@ def _reach(sets: tuple[GapSet, ...]) -> int:
 
 
 def _values_from(sets: tuple[GapSet, ...], lo: int) -> list:
-    """The minimum for the inputs at each point of [lo, reach].
+    """The minimum for the inputs at each point of [lo, reach], as a new list.
 
-    Points in [-reach, reach] come from the kept table; points below it are
-    computed and dropped, so a far negative k costs time but keeps nothing.
+    One input takes its closed-form tail below 0 and its kept values on
+    [0, reach].  More inputs take their kept table on [-reach, reach]; points
+    below it are computed and dropped, so a far negative k costs time but
+    keeps nothing.
     """
-    reach = _reach(sets)
-    below = [_direct_min(sets, r) for r in range(lo, -reach)]
-    return below + _min_table(sets)[max(lo + reach, 0) :]
+    if len(sets) == 1:
+        gap_set = sets[0]
+        values = _gap_values(gap_set)
+        if lo >= 0:
+            return values[lo:]
+        return list(range(gap_set.genus - lo, gap_set.genus, -1)) + values
+    table = _min_table(sets)
+    reach = len(table) // 2
+    if lo >= -reach:
+        return table[lo + reach :]
+    return [_direct_min(sets, r) for r in range(lo, -reach)] + table
+
+
+@lru_cache(maxsize=1024)
+def _gap_values(gap_set: GapSet) -> list:
+    """The gap function on [0, max_gap + 1], straight from its definition."""
+    return [gap_function_eval(gap_set, m) for m in range(gap_set.max_gap + 2)]
 
 
 # Multisets sharing a prefix of inputs, and the points of one multiset, reuse
 # the prefix's table; each table has 2 * reach + 1 entries.
 @lru_cache(maxsize=1024)
 def _min_table(sets: tuple[GapSet, ...]) -> list:
+    """The minimum for two or more inputs at each point of [-reach, reach].
+
+    Point k scans the last input over [k - rest_reach, last_reach] against the
+    rest over [k - last_reach, rest_reach].  With both lists started where the
+    first point needs them, each point is the two lists from index k + reach
+    on, one read forwards and one backwards.
+    """
+    rest = sets[:-1]
     reach = _reach(sets)
-    return [_direct_min(sets, r) for r in range(-reach, reach + 1)]
+    xs = _values_from(sets[-1:], -reach - _reach(rest))
+    rs = _values_from(rest, -reach - sets[-1].max_gap - 1)
+    rs.reverse()
+    return [min(map(add, xs[i:], rs[: len(rs) - i])) for i in range(2 * reach + 1)]

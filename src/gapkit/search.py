@@ -204,7 +204,9 @@ def search_violations(
     done: dict[int, list] = {}
     out_file = None
     if checkpoint_path is not None:
-        done = _load_checkpoint(checkpoint_path, _config_fingerprint(config))
+        done, intact = _load_checkpoint(checkpoint_path, _config_fingerprint(config))
+        # drop a torn tail, so that the next record starts on a line of its own
+        os.truncate(checkpoint_path, intact)
         out_file = open(checkpoint_path, "a", encoding="utf-8")
         if not done and os.path.getsize(checkpoint_path) == 0:
             out_file.write(_json_line({"config": _config_fingerprint(config)}))
@@ -370,30 +372,37 @@ def _json_line(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _load_checkpoint(path: str, fingerprint: dict) -> dict[int, list]:
+def _load_checkpoint(path: str, fingerprint: dict) -> tuple[dict[int, list], int]:
+    """Units recorded in the checkpoint, and the byte length of its intact part.
+
+    The intact part ends after the last whole line that parses; what follows is
+    the torn append of an interrupted run.  A first line that is neither this
+    configuration's header nor a torn piece of it means a foreign file.
+    """
     done: dict[int, list] = {}
     if not os.path.exists(path):
         with open(path, "w", encoding="utf-8"):
             pass
-        return done
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
+        return done, 0
+    header = _json_line({"config": fingerprint}).encode()
+    with open(path, "rb") as fh:
+        first = fh.readline()
+        if first != header:
+            if header.startswith(first):
+                return done, 0
+            raise ConfigInvalid(f"checkpoint {path} was written by a different configuration")
+        intact = len(first)
+        for line in fh:
+            if not line.endswith(b"\n"):
+                break
             try:
                 record = json.loads(line)
             except json.JSONDecodeError:
-                break  # torn final append from an interrupted run
-            if lineno == 0:
-                if record.get("config") != fingerprint:
-                    raise ConfigInvalid(
-                        f"checkpoint {path} was written by a different configuration"
-                    )
-                continue
+                break
             if "unit" in record:
                 done[record["unit"]] = record.get("violations", [])
-    return done
+            intact += len(line)
+    return done, intact
 
 
 _TASK_CACHE: dict[str, tuple] = {}

@@ -304,7 +304,7 @@ class TestSearch:
 
 
 class TestSearchFullGolden:
-    """The exhaustive n=3, max-gap-8 scan: 6.5 to 7.5 minutes on 2 cores, ~4.4M output lines."""
+    """The exhaustive n=3, max-gap-8 scan: 3 to 7.5 minutes on 2 cores, ~4.4M output lines."""
 
     DISTINGUISHED = {"cusps": [[1], [1, 3], [1, 2, 5, 7]], "j": 2, "k": 6, "bound": 5}
     FIRST = {"cusps": [[1], [1], [1]], "j": 2, "k": 3, "bound": 2}
@@ -390,6 +390,40 @@ class TestTopLevel:
         )
         assert proc.returncode == 0
         assert proc.stdout == "1,2,5\n"
+
+    def test_internal_error_exits_three(self, capsys, monkeypatch):
+        def disagree(*args):
+            raise RuntimeError("internal: window minimum 4 != table value 5 at j=2")
+
+        monkeypatch.setattr("gapkit.cli.check_pair_inequality", disagree)
+        code, out, err = run_cli(capsys, "check", "pair", "--cusps", "1;1,3")
+        assert code == 3
+        assert out == ""
+        assert err == "internal error: internal: window minimum 4 != table value 5 at j=2\n"
+
+    def test_broken_worker_pool_exits_three(self, capsys, monkeypatch):
+        from concurrent.futures.process import BrokenProcessPool
+
+        def crash(*args, **kwargs):
+            raise BrokenProcessPool("a child process terminated abruptly")
+
+        monkeypatch.setattr("gapkit.cli.search_violations", crash)
+        code, _, err = run_cli(capsys, "search", "--n", "2", "--max-gap", "3", "--workers", "2")
+        assert code == 3
+        assert err.startswith("internal error: ")
+
+    def test_closed_stdout_exits_quietly(self):
+        # 5,915 lines, far more than a pipe holds, so the child is still writing
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "gapkit.cli", "search", "--n", "3", "--max-gap", "5", "--json"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline().startswith(b'{"cusps"')
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+        assert err == b""
 
     def test_module_invocation(self):
         proc = subprocess.run(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,7 +16,7 @@ from gapkit import (
     inf_conv_n,
     inf_conv_pair,
 )
-from gapkit.infconv import _min_table
+from gapkit.infconv import _gap_values, _min_table
 
 from conftest import gap_sets
 
@@ -165,13 +167,19 @@ class TestInfConvEval:
         assert inf_conv_eval(sets, -5) == total + 5
 
     def test_far_negative_point_keeps_bounded_tables(self):
-        # points below -reach are computed and dropped, so the tables kept per
-        # prefix of inputs stay at 2 * reach + 1 entries
-        sets = [GapSet((1, 8)), GapSet((1, 2, 4)), GapSet((1, 2, 3))]
+        # points below -reach are computed and dropped, so after k = -60 the
+        # kept tables are one per input on [0, reach] and one per prefix of two
+        # or more inputs on [-reach, reach]
+        sets = (GapSet((1, 8)), GapSet((1, 2, 4)), GapSet((1, 2, 3)))
         total = sum(g.genus for g in sets)
+        _gap_values.cache_clear()
+        _min_table.cache_clear()
         assert inf_conv_eval(sets, -60) == total + 60
-        for prefix in (tuple(sets[:1]), tuple(sets[:2]), tuple(sets[2:])):
-            assert len(_min_table(prefix)) == 2 * sum(g.max_gap + 1 for g in prefix) + 1
+        assert _gap_values.cache_info().currsize == 3
+        for g in sets:
+            assert len(_gap_values(g)) == g.max_gap + 2
+        assert _min_table.cache_info().currsize == 1
+        assert len(_min_table(sets[:2])) == 2 * sum(g.max_gap + 1 for g in sets[:2]) + 1
 
     def test_beyond_total_cutoff(self):
         sets = [A, B]
@@ -192,8 +200,30 @@ class TestInfConvEval:
     @given(st.lists(gap_sets(max_element=9, max_size=5), min_size=1, max_size=3))
     def test_agrees_with_pairwise_fold(self, sets):
         table = inf_conv_n(sets)
-        for k in range(-2, table.cutoff + 3):
+        reach = sum(g.max_gap + 1 for g in sets)
+        for k in range(-reach - 4, table.cutoff + 3):
             assert inf_conv_eval(sets, k) == table(k)
+
+    @given(
+        st.lists(gap_sets(max_element=6, max_size=4), min_size=1, max_size=3),
+        st.integers(-30, 25),
+    )
+    def test_matches_brute_force_over_every_split(self, sets, k):
+        def gap_fn(g, m):
+            return sum(1 for x in g.elements if x >= m) + max(0, -m)
+
+        # a minimizer has each argument in [k - reach, its own cutoff]; this
+        # window is wider on both sides, and the last argument takes the rest
+        reach = sum(g.max_gap + 1 for g in sets)
+        for point in (k, -reach - 3, -reach, -1, reach, reach + 2):
+            lo = min(point, 0) - reach - 2
+            windows = [range(lo, g.max_gap + 4) for g in sets[:-1]]
+            brute = min(
+                sum(gap_fn(g, x) for g, x in zip(sets, xs))
+                + gap_fn(sets[-1], point - sum(xs))
+                for xs in product(*windows)
+            )
+            assert inf_conv_eval(sets, point) == brute
 
     @given(gap_sets(max_element=10, max_size=6), gap_sets(max_element=10, max_size=6))
     def test_value_at_zero_is_pair_sum_bound(self, g, h):

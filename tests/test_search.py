@@ -264,3 +264,25 @@ class TestCheckpoint:
         with open(path, "a", encoding="utf-8") as fh:
             fh.write('{"unit": 99, "violations"')
         assert run(self.CONFIG, checkpoint_path=path) == reference
+
+    def test_torn_append_is_dropped_before_resuming(self, tmp_path, monkeypatch):
+        path = tmp_path / "ck.jsonl"
+        reference = run(self.CONFIG, checkpoint_path=str(path))
+        data = path.read_bytes()
+        last_start = data.rstrip(b"\n").rfind(b"\n") + 1
+        path.write_bytes(data[: last_start + 10])  # the last unit's record, torn
+        assert run(self.CONFIG, checkpoint_path=str(path)) == reference
+        assert path.read_bytes() == data
+
+        def boom(*args, **kwargs):
+            raise AssertionError("unit was recomputed despite checkpoint")
+
+        monkeypatch.setattr("gapkit.search._scan_unit", boom)
+        assert run(self.CONFIG, checkpoint_path=str(path)) == reference
+
+    def test_foreign_file_is_left_alone(self, tmp_path):
+        path = tmp_path / "notes.txt"
+        path.write_text("not a checkpoint\n", encoding="utf-8")
+        with pytest.raises(ConfigInvalid, match="different configuration"):
+            run(self.CONFIG, checkpoint_path=str(path))
+        assert path.read_text(encoding="utf-8") == "not a checkpoint\n"
