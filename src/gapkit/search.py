@@ -1,9 +1,11 @@
 """Exhaustive and pruned search for indices where k_j exceeds the bound I(j+1).
 
 Multisets of n gap sets are drawn from an enumerated (or explicitly given)
-pool in canonical order.  For each multiset the k-coefficients come from the
-product polynomial and the bound from the pairwise convolution fold; every hit
-is re-verified through the independent oracle route before it is emitted.
+pool in canonical order.  The scan carries each prefix's elementary symmetric
+sums of the gap polynomials and its convolution table as packed integers, one
+coefficient per fixed-width bit slot; every hit is re-verified through the
+product polynomial and the independent oracle route, which share no arithmetic
+with the scan, before it is emitted.
 Index 0 is skipped in the scan because k_0 and I(1) always agree; that
 identity is asserted per multiset rather than assumed.
 
@@ -19,20 +21,13 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterator, Optional, Sequence
+from math import comb
+from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .alexpoly import (
-    IntPolynomial,
-    KSequence,
-    _div_t1,
-    _mul,
-    alexander_from_gaps,
-    expand_k_sequence,
-    poly_mul,
-)
+from .alexpoly import IntPolynomial, KSequence, alexander_from_gaps, expand_k_sequence, poly_mul
 from .errors import ConfigInvalid
 from .gapset import GapFunction, GapSet, is_semigroup_complement
-from .infconv import _pair_table_unit, inf_conv_eval
+from .infconv import inf_conv_eval
 
 __all__ = [
     "SearchConfig",
@@ -215,15 +210,17 @@ def search_violations(
     pending = [i for i in units if i not in done]
     executor = None
     futures = {}
-    prep = None
+    layout = None
     try:
         if workers > 1 and pending:
             from concurrent.futures import ProcessPoolExecutor
 
-            executor = ProcessPoolExecutor(max_workers=workers)
-            futures = {i: executor.submit(_scan_unit_task, config, i) for i in pending}
+            executor = ProcessPoolExecutor(
+                max_workers=workers, initializer=_init_worker, initargs=(config,)
+            )
+            futures = {i: executor.submit(_scan_unit_task, i) for i in pending}
         else:
-            prep = _prep_pool(pool)
+            layout = _prep_pool(pool, config.n)
 
         for i in units:
             if i in done:
@@ -232,7 +229,7 @@ def search_violations(
                 if i in futures:
                     found = futures.pop(i).result()
                 else:
-                    found = _scan_unit(prep, config.n, i, config.require_bl)
+                    found = _scan_unit(layout, i, config.require_bl)
                 violations = [
                     Violation(tuple(pool[x] for x in path), j, k, bound)
                     for path, j, k, bound in found
@@ -268,89 +265,168 @@ def _resolved_pool(config: SearchConfig) -> tuple[GapSet, ...]:
     )
 
 
-def _prep_pool(pool: Sequence[GapSet]) -> list:
-    """Per-set data for the hot loop: polynomial, step table, max gap, genus."""
-    return [
-        (
-            list(alexander_from_gaps(g).coefficients),
-            list(GapFunction(g).table()),
-            g.max_gap,
-            g.genus,
+class _Layout(NamedTuple):
+    """What the packed scan needs about a pool and a multiset size n.
+
+    A packed integer holds coefficient j in bits [bits*j, bits*j + bits).
+    high has the top bit of each of the scan's slots; windows[m] keeps those
+    of slots 1..m.  tails[k - 3] is (k, even, odd) for k = 3..n, the
+    even-parity and odd-parity terms of (t-1)^(k-2), packed.  Each entry of
+    sets is (S, U, T, row0, rows, genus, max_gap) for one gap set, see
+    _prep_pool.
+    """
+
+    n: int
+    bits: int
+    high: int
+    windows: tuple
+    tails: tuple
+    sets: tuple
+
+
+def _slot_bits(pool: Sequence[GapSet], n: int) -> int:
+    """Slot width: every slot value the scan forms stays below 2**(bits - 1).
+
+    With G the largest genus, the prefix sums U and the convolution tables
+    stay at most n*G, and e_k(S_1..S_n) has coefficients at most
+    C(n,k)*G^(k-1).  The sum pos is U + e_2 + sum over k >= 3 of e_k times
+    the even-parity part of (t-1)^(k-2), whose coefficients add up to
+    2^(k-3); the sum rhs is bounded the same way.  A row of the table
+    minimum holds at most (n+1)*G + 1 in its filled low slots.
+    """
+    g = max(gap_set.genus for gap_set in pool)
+    top = max(
+        n * g + sum(comb(n, k) * g ** (k - 1) * 2 ** max(k - 3, 0) for k in range(2, n + 1)),
+        (n + 1) * g + 1,
+    )
+    return top.bit_length() + 1
+
+
+def _prep_pool(pool: Sequence[GapSet], n: int) -> _Layout:
+    """Packed per-set data for scanning multisets of n sets from the pool.
+
+    For a gap set c: S is its 0/1 gap polynomial, U holds I_c(j+1) and T
+    holds I_c(j) at slot j.  The table minimum T <> I_c is the slotwise
+    minimum of rows, one per split x in {0} and {g+1 : g in c}: I_c is
+    constant from one such x up to the next gap and a table is
+    nonincreasing, so the smallest x of each stretch wins.  Row x is
+    (T << bits*x) + add, where add puts I_c(x) in slots x and up and a value
+    above every convolution in the slots below x, which no split beyond the
+    point may win (the 1-Lipschitz window).  row0 is the add of x = 0.
+    """
+    bits = _slot_bits(pool, n)
+    width = n * (max(gap_set.max_gap for gap_set in pool) + 1) + 1
+    ones = sum(1 << bits * j for j in range(width))
+    high = ones << bits - 1
+    above = n * max(gap_set.genus for gap_set in pool) + 1
+
+    def packed(values) -> int:
+        return sum(v << bits * j for j, v in enumerate(values))
+
+    tails = []
+    for k in range(3, n + 1):
+        m = k - 2
+        signed = [comb(m, i) * (-1) ** (m - i) for i in range(m + 1)]
+        tails.append(
+            (k, packed(max(c, 0) for c in signed), packed(max(-c, 0) for c in signed))
         )
-        for g in pool
-    ]
+    sets = []
+    for gap_set in pool:
+        values = GapFunction(gap_set).table()
+        rows = []
+        for g in gap_set.elements:
+            below = ones & ((1 << bits * (g + 1)) - 1)
+            rows.append((bits * (g + 1), above * below + values[g + 1] * (ones - below)))
+        sets.append(
+            (
+                sum(1 << bits * g for g in gap_set.elements),
+                packed(values[1:]),
+                packed(values),
+                gap_set.genus * ones,
+                tuple(rows),
+                gap_set.genus,
+                gap_set.max_gap,
+            )
+        )
+    windows = tuple(high & ((1 << bits * (m + 1)) - 1) & ~((1 << bits) - 1) for m in range(width))
+    return _Layout(n, bits, high, windows, tuple(tails), tuple(sets))
 
 
-def _scan_unit(prep: list, n: int, first: int, require_bl: Optional[int]) -> list:
+def _scan_unit(layout: _Layout, first: int, require_bl: Optional[int]) -> list:
     """All violations among multisets whose smallest pool index is `first`.
 
-    Depth-first over nondecreasing index tuples, carrying the prefix product
-    polynomial and prefix convolution table so each prefix is computed once.
+    Depth-first over nondecreasing index tuples.  Each prefix carries, packed,
+    e_1..e_n of its gap polynomials, U (the sum of I_c(j+1)) and its
+    convolution table T, so each prefix is computed once.  With every cusp
+    polynomial 1 + (t-1) S_c, the product is the sum of e_k (t-1)^k, and
+    K = U + e_2 + (t-1) e_3 + (t-1)^2 e_4 + ...  K may go negative, so a leaf
+    compares two nonnegative sums instead: pos (U, e_2 and the even-parity
+    terms) against rhs (the odd-parity terms plus T(j+1)); j is a hit where
+    pos_j > rhs_j.
     """
+    n, bits, high, windows, tails, sets = layout
+    mask = (1 << bits) - 1
+    below_top = bits - 1
     found = []
     path = [first]
-    coeffs0, table0, max_gap0, genus0 = prep[first]
 
-    def leaf(poly: list, table: list, genus_sum: int, max_gap_sum: int) -> None:
-        if require_bl is not None and not _bl_holds(table, genus_sum, require_bl):
+    def leaf(es: list, u: int, table: int, genus_sum: int, max_gap_sum: int) -> None:
+        if require_bl is not None and not _bl_holds(table, bits, genus_sum, require_bl):
             return
-        ks = _expand_list(poly, genus_sum)
-        k0 = ks[0] if ks else 0
-        if k0 != (table[1] if len(table) > 1 else 0):
+        pos = u + es[2]
+        rhs = table >> bits
+        for k, even, odd in tails:
+            pos += es[k] * even
+            rhs += es[k] * odd
+        if (pos | rhs) & high:
+            raise RuntimeError("internal: a packed slot reached its top bit")
+        if (pos ^ rhs) & mask:
             raise RuntimeError("internal: k_0 does not equal the convolution at 1")
-        for j in range(1, max_gap_sum + 1):
-            kj = ks[j] if j < len(ks) else 0
-            bound = table[j + 1] if j + 1 < len(table) else 0
-            if kj > bound:
-                found.append((tuple(path), j, kj, bound))
+        # top bit of slot j clear where rhs_j - pos_j < 0; lowest slot first
+        hits = ~((rhs | high) - pos) & windows[max_gap_sum]
+        while hits:
+            low = hits & -hits
+            hits ^= low
+            j = low.bit_length() // bits - 1
+            bound = table >> bits * (j + 1) & mask
+            kj = (pos >> bits * j & mask) - (rhs >> bits * j & mask) + bound
+            found.append((tuple(path), j, kj, bound))
 
-    def descend(depth: int, start: int, poly: list, table: list, genus_sum: int, max_gap_sum: int) -> None:
+    def descend(depth: int, start: int, es: list, u: int, table: int, genus_sum: int, max_gap_sum: int) -> None:
         if depth == n:
-            leaf(poly, table, genus_sum, max_gap_sum)
+            leaf(es, u, table, genus_sum, max_gap_sum)
             return
-        for idx in range(start, len(prep)):
-            coeffs, step_table, max_gap, genus = prep[idx]
+        for idx in range(start, len(sets)):
+            s, u_c, _, row0, rows, genus, max_gap = sets[idx]
+            grown = es[:]
+            for k in range(depth + 1, 0, -1):
+                grown[k] += grown[k - 1] * s
+            new = table + row0
+            for shift, add in rows:
+                # slotwise minimum of new and row: where new_j >= row_j the
+                # top bit of diff survives and the low bits hold new_j - row_j
+                row = (table << shift) + add
+                diff = (new | high) - row
+                ge = diff & high
+                new -= diff & (ge - (ge >> below_top))
             path.append(idx)
-            descend(
-                depth + 1,
-                idx,
-                _mul(poly, coeffs),
-                _pair_table_unit(table, step_table),
-                genus_sum + genus,
-                max_gap_sum + max_gap,
-            )
+            descend(depth + 1, idx, grown, u + u_c, new, genus_sum + genus, max_gap_sum + max_gap)
             path.pop()
 
-    descend(1, first, coeffs0, table0, genus0, max_gap0)
+    s, u, table, _, _, genus, max_gap = sets[first]
+    # e_0..e_n, and an e_2 = 0 that a single set needs at its leaf
+    descend(1, first, [1, s] + [0] * n, u, table, genus, max_gap)
     return found
 
 
-def _expand_list(poly: list, genus: int) -> list:
-    coeffs = list(poly)
-    while len(coeffs) < 2:
-        coeffs.append(0)
-    coeffs[0] -= 1 - genus
-    coeffs[1] -= genus
-    first, r1 = _div_t1(coeffs)
-    if r1:
-        raise RuntimeError("internal: product of gap polynomials has P(1) != 1")
-    ks, r2 = _div_t1(first)
-    if r2:
-        raise RuntimeError("internal: genus bookkeeping failed on a product polynomial")
-    return ks
-
-
-def _bl_holds(table: list, genus_sum: int, degree: int) -> bool:
+def _bl_holds(table: int, bits: int, genus_sum: int, degree: int) -> bool:
+    """The degree's convolution identity at the points jd+1, read off a packed table."""
     if genus_sum != (degree - 1) * (degree - 2) // 2:
         return False
+    mask = (1 << bits) - 1
     for j in range(-1, degree - 1):
         point = j * degree + 1
-        if point <= 0:
-            lhs = genus_sum - point
-        elif point < len(table):
-            lhs = table[point]
-        else:
-            lhs = 0
+        lhs = genus_sum - point if point <= 0 else table >> bits * point & mask
         if lhs != (j - degree + 1) * (j - degree + 2) // 2:
             return False
     return True
@@ -405,15 +481,15 @@ def _load_checkpoint(path: str, fingerprint: dict) -> tuple[dict[int, list], int
     return done, intact
 
 
-_TASK_CACHE: dict[str, tuple] = {}
+_WORKER: Optional[tuple] = None
 
 
-def _scan_unit_task(config: SearchConfig, first: int) -> list:
-    """Worker entry: cache the prepared pool per process, then scan one unit."""
-    key = json.dumps(_config_fingerprint(config), sort_keys=True)
-    entry = _TASK_CACHE.get(key)
-    if entry is None:
-        entry = (config.n, config.require_bl, _prep_pool(_resolved_pool(config)))
-        _TASK_CACHE[key] = entry
-    n, require_bl, prep = entry
-    return _scan_unit(prep, n, first, require_bl)
+def _init_worker(config: SearchConfig) -> None:
+    """Worker start-up: lay out the pool once for every unit this process scans."""
+    global _WORKER
+    _WORKER = (_prep_pool(_resolved_pool(config), config.n), config.require_bl)
+
+
+def _scan_unit_task(first: int) -> list:
+    layout, require_bl = _WORKER
+    return _scan_unit(layout, first, require_bl)

@@ -22,6 +22,8 @@ from gapkit import (
     validate_spec,
 )
 
+from gapkit import checkers
+
 from conftest import gap_sets
 
 A = GapSet((1,))
@@ -57,6 +59,12 @@ REPORT_SCHEMA = {
 
 def row_triples(report):
     return [(r.j, r.lhs, r.rhs) for r in report.rows]
+
+
+def tampered_oracle(monkeypatch):
+    """Make the direct minimization route answer one more than it should."""
+    real = checkers.inf_conv_eval
+    monkeypatch.setattr("gapkit.checkers.inf_conv_eval", lambda sets, k: real(sets, k) + 1)
 
 
 class TestCurveSpec:
@@ -144,6 +152,11 @@ class TestCheckPairInequality:
     def test_always_passes(self, g, h):
         assert check_pair_inequality(g, h).passed
 
+    def test_disagreeing_convolution_routes_raise(self, monkeypatch):
+        tampered_oracle(monkeypatch)
+        with pytest.raises(RuntimeError, match="direct minimization"):
+            check_pair_inequality(A, B)
+
 
 class TestCheckBl:
     def test_single_cusp_degree_three(self):
@@ -176,6 +189,11 @@ class TestCheckBl:
 
     def test_json_shape(self):
         jsonschema.validate(check_bl(CurveSpec(3, (A,))).to_json_dict(), REPORT_SCHEMA)
+
+    def test_disagreeing_convolution_routes_raise(self, monkeypatch):
+        tampered_oracle(monkeypatch)
+        with pytest.raises(RuntimeError, match="direct minimization"):
+            check_bl(CurveSpec(4, (A, A, A)))
 
 
 class TestCheckFlmn:

@@ -11,10 +11,13 @@ import pytest
 
 from gapkit import (
     ConfigInvalid,
+    CurveSpec,
     GapSet,
+    GenusMismatch,
     SearchConfig,
     Violation,
     alexander_from_gaps,
+    check_bl,
     enumerate_gap_sets,
     expand_k_sequence,
     inf_conv_n,
@@ -22,6 +25,7 @@ from gapkit import (
     search_violations,
     verify_violation,
 )
+from gapkit import search
 
 A = GapSet((1,))
 B = GapSet((1, 3))
@@ -170,6 +174,11 @@ class TestSearchViolations:
         assert run(config, workers=2) == run(config)
 
 
+def hit_tuples(found):
+    """Violations in brute_force's shape."""
+    return [(tuple(g.elements for g in v.cusps), v.j, v.k, v.bound) for v in found]
+
+
 def brute_force(pool, n, require_bl=None):
     """Every hit of every multiset, one multiset at a time, through the public operations."""
     found = []
@@ -211,14 +220,60 @@ class TestScanAgainstBruteForce:
             ]
             assert got == brute_force(pool, n)
 
-    def test_require_bl(self):
+    def test_require_bl(self, monkeypatch):
         pool = tuple(enumerate_gap_sets(4))
+        verdicts = []
+        real_bl_holds = search._bl_holds
+
+        def recording(*args):
+            verdicts.append(real_bl_holds(*args))
+            return verdicts[-1]
+
+        monkeypatch.setattr("gapkit.search._bl_holds", recording)
         for degree in (4, 5):
-            got = [
-                (tuple(g.elements for g in v.cusps), v.j, v.k, v.bound)
-                for v in run(SearchConfig(n=3, pool=pool, require_bl=degree))
-            ]
-            assert got == brute_force(pool, 3, require_bl=degree)
+            verdicts.clear()
+            found = run(SearchConfig(n=3, pool=pool, require_bl=degree))
+            assert hit_tuples(found) == brute_force(pool, 3, require_bl=degree)
+            assert all(check_bl(CurveSpec(degree, v.cusps)).passed for v in found)
+            multisets = list(combinations_with_replacement(pool, 3))
+            failing = sum(not passes_bl(degree, cusps) for cusps in multisets)
+            assert len(verdicts) == len(multisets)
+            assert verdicts.count(False) == failing
+            assert 0 < failing < len(multisets)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "pool",
+        [(GapSet(()),), (GapSet(()), A, B, GapSet((2, 3)))],
+        ids=["empty-set-only", "empty-set-among-others"],
+    )
+    def test_pools_with_the_empty_set(self, pool, n):
+        assert hit_tuples(run(SearchConfig(n=n, pool=pool))) == brute_force(pool, n)
+
+    def test_slots_wider_than_a_byte(self):
+        pool = (GapSet(()), A, GapSet((1, 2, 4)), GapSet((1, 2, 3, 6)))
+        assert search._slot_bits(pool, 4) > 8
+        got = hit_tuples(run(SearchConfig(n=4, pool=pool)))
+        assert got
+        assert got == brute_force(pool, 4)
+
+    def test_slot_one_bit_too_narrow_raises(self, monkeypatch):
+        # n = 2, genus 8: the bound gives 3*8 + 1 = 25, so 6-bit slots; k_0's
+        # positive side is U_0 = 2*8 = 16, the top bit of a 5-bit slot
+        pool = (GapSet(tuple(range(1, 9))),)
+        real_slot_bits = search._slot_bits
+        assert real_slot_bits(pool, 2) == 6
+        assert search._scan_unit(search._prep_pool(pool, 2), 0, None) == []
+        monkeypatch.setattr("gapkit.search._slot_bits", lambda p, n: real_slot_bits(p, n) - 1)
+        with pytest.raises(RuntimeError, match="top bit"):
+            search._scan_unit(search._prep_pool(pool, 2), 0, None)
+
+
+def passes_bl(degree, cusps):
+    try:
+        return check_bl(CurveSpec(degree, cusps)).passed
+    except GenusMismatch:
+        return False
 
 
 class TestCheckpoint:
