@@ -3,9 +3,12 @@
 Three checks share the report shape: the pairwise coefficient inequality
 k_j <= I(j+1), the degree-indexed convolution identity at the points jd+1
 ("bl"), and the two coefficient bound forms at the indices d(d-j-3) ("flmn").
-Each left-hand side is cross-checked against an independent evaluation route;
-disagreement between routes raises RuntimeError, since it can only mean an
-implementation bug, never a failing input.
+check_pair_inequality and check_bl compute the convolution twice, once from
+the pairwise table or the fold and once by the direct minimization of
+inf_conv_eval, and raise RuntimeError if the two disagree, since that can only
+mean an implementation bug, never a failing input.  The k-coefficients come
+from one route only, double synthetic division by (t-1), guarded by its two
+remainders (BadExpansion).  check_flmn has no second route for either side.
 """
 
 from __future__ import annotations
@@ -191,6 +194,8 @@ def check_flmn(spec: CurveSpec) -> CheckReport:
     Two rows per index: the binomial bound (j+1)(j+2)/2, then the convolution
     bound I(d(d-j-3)+1).  For a single cusp the report's witness also records
     whether the binomial bound is attained with equality at every index.
+    Neither side is cross-checked: k comes from expand_k_sequence alone and
+    the convolution from the fold alone.
     """
     validate_spec(spec)
     d = spec.degree

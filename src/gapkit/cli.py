@@ -26,7 +26,7 @@ from .alexpoly import (
 from .checkers import CheckReport, CurveSpec, check_bl, check_flmn, check_pair_inequality
 from .errors import BadExpansion, ConfigInvalid, GenusMismatch, NotGapForm, NotNumerical
 from .gapset import GapSet, gap_function_eval, gaps_from_generators, is_semigroup_complement
-from .infconv import inf_conv_n
+from .infconv import StepFunction, inf_conv_n
 from .search import SearchConfig, search_violations
 
 __all__ = ["main"]
@@ -47,8 +47,9 @@ def _json_ready(value):
     return value
 
 
-def _emit_json(doc) -> None:
-    print(json.dumps(_json_ready(doc)))
+def _emit(args, doc, text: str) -> None:
+    """Print doc as JSON under --json, and text otherwise."""
+    print(json.dumps(_json_ready(doc)) if args.json else text)
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -68,103 +69,80 @@ def _parse_shard(text: str) -> tuple[int, int]:
     return int(match.group(1)), int(match.group(2))
 
 
-def _parse_cusps(text: str) -> tuple[GapSet, ...]:
-    return tuple(GapSet.from_text(part) for part in text.split(";"))
-
-
-def _check_strict(cusps: Sequence[GapSet]) -> None:
+def _parse_cusps(text: str, strict: bool) -> tuple[GapSet, ...]:
+    """Semicolon-separated gap sets; strict rejects non-semigroup complements."""
+    cusps = tuple(GapSet.from_text(part) for part in text.split(";"))
     for gap_set in cusps:
-        if not is_semigroup_complement(gap_set):
+        if strict and not is_semigroup_complement(gap_set):
             raise ValueError(
                 f"{gap_set.to_text() or '-'} is not the gap set of a numerical semigroup"
             )
+    return cusps
 
 
-def _print_report(report: CheckReport, as_json: bool) -> int:
-    if as_json:
-        _emit_json(report.to_json_dict())
+def _print_step(args, step: StepFunction) -> int:
+    """The step function on [0, cutoff], or on --range A..B as {"start", "values"}."""
+    if args.range is None:
+        lo, hi = 0, step.cutoff
     else:
-        print(f"{report.check}: {report.verdict}")
-        for row in report.rows:
-            marker = "" if row.satisfied else "  [violated]"
-            print(f"j={row.j}: {row.lhs} {row.relation} {row.rhs}{marker}")
-        if report.witness is not None:
-            print(f"witness: {json.dumps(_json_ready(report.witness), sort_keys=True)}")
+        lo, hi = _parse_range(args.range)
+    points = range(lo, hi + 1)
+    values = [step(k) for k in points]
+    doc = step.to_json_dict() if args.range is None else {"start": lo, "values": values}
+    _emit(args, doc, "\n".join(f"{k}\t{value}" for k, value in zip(points, values)))
+    return 0
+
+
+def _print_report(args, report: CheckReport) -> int:
+    lines = [f"{report.check}: {report.verdict}"]
+    for row in report.rows:
+        marker = "" if row.satisfied else "  [violated]"
+        lines.append(f"j={row.j}: {row.lhs} {row.relation} {row.rhs}{marker}")
+    if report.witness is not None:
+        lines.append(f"witness: {json.dumps(_json_ready(report.witness), sort_keys=True)}")
+    _emit(args, report.to_json_dict(), "\n".join(lines))
     return 0 if report.passed else 1
 
 
 def _cmd_gaps_from_generators(args) -> int:
     gap_set = gaps_from_generators(args.generators)
-    if args.json:
-        _emit_json(list(gap_set.elements))
-    else:
-        print(gap_set.to_text() or "-")
+    _emit(args, list(gap_set.elements), gap_set.to_text() or "-")
     return 0
 
 
 def _cmd_gaps_validate(args) -> int:
     gap_set = GapSet.from_text(args.gaps)
     ok = is_semigroup_complement(gap_set)
-    if args.json:
-        _emit_json({"gaps": list(gap_set.elements), "semigroup_complement": ok})
-    else:
-        print(f"semigroup complement: {'yes' if ok else 'no'}")
+    doc = {"gaps": list(gap_set.elements), "semigroup_complement": ok}
+    _emit(args, doc, f"semigroup complement: {'yes' if ok else 'no'}")
     return 0 if ok else 1
 
 
 def _cmd_gapfn_eval(args) -> int:
-    gap_set = GapSet.from_text(args.gaps)
-    value = gap_function_eval(gap_set, args.m)
-    if args.json:
-        _emit_json({"m": args.m, "value": value})
-    else:
-        print(value)
+    value = gap_function_eval(GapSet.from_text(args.gaps), args.m)
+    _emit(args, {"m": args.m, "value": value}, str(value))
     return 0
 
 
 def _cmd_gapfn_table(args) -> int:
-    gap_set = GapSet.from_text(args.gaps)
-    if args.range is None:
-        lo = 0
-        hi = gap_set.max_gap + 1 if gap_set.elements else 0
-    else:
-        lo, hi = _parse_range(args.range)
-    values = [gap_function_eval(gap_set, m) for m in range(lo, hi + 1)]
-    if args.json:
-        if lo == 0 and args.range is None:
-            _emit_json({"genus": gap_set.genus, "values": values})
-        else:
-            _emit_json({"start": lo, "values": values})
-    else:
-        for m, value in zip(range(lo, hi + 1), values):
-            print(f"{m}\t{value}")
-    return 0
+    return _print_step(args, StepFunction.from_gap_set(GapSet.from_text(args.gaps)))
 
 
 def _cmd_alex_from_gaps(args) -> int:
     poly = alexander_from_gaps(GapSet.from_text(args.gaps))
-    if args.json:
-        _emit_json(list(poly.coefficients))
-    else:
-        print(poly.to_text())
+    _emit(args, list(poly.coefficients), poly.to_text())
     return 0
 
 
 def _cmd_alex_to_gaps(args) -> int:
     gap_set = gaps_from_alexander(IntPolynomial.from_text(args.poly))
-    if args.json:
-        _emit_json(list(gap_set.elements))
-    else:
-        print(gap_set.to_text() or "-")
+    _emit(args, list(gap_set.elements), gap_set.to_text() or "-")
     return 0
 
 
 def _cmd_alex_mul(args) -> int:
     product = reduce(poly_mul, (IntPolynomial.from_text(p) for p in args.polys))
-    if args.json:
-        _emit_json(list(product.coefficients))
-    else:
-        print(product.to_text())
+    _emit(args, list(product.coefficients), product.to_text())
     return 0
 
 
@@ -172,38 +150,16 @@ def _cmd_expand(args) -> int:
     if args.genus < 0:
         raise ValueError(f"genus must be nonnegative, got {args.genus}")
     ks = expand_k_sequence(IntPolynomial.from_text(args.poly), args.genus)
-    if args.json:
-        _emit_json({"genus": ks.genus, "ks": list(ks.ks)})
-    else:
-        print(",".join(str(k) for k in ks.ks))
+    _emit(args, {"genus": ks.genus, "ks": list(ks.ks)}, ",".join(str(k) for k in ks.ks))
     return 0
 
 
 def _cmd_infconv(args) -> int:
-    cusps = _parse_cusps(args.cusps)
-    if args.strict:
-        _check_strict(cusps)
-    step = inf_conv_n(cusps)
-    if args.range is None:
-        lo, hi = 0, step.cutoff
-    else:
-        lo, hi = _parse_range(args.range)
-    values = [step(k) for k in range(lo, hi + 1)]
-    if args.json:
-        if args.range is None:
-            _emit_json(step.to_json_dict())
-        else:
-            _emit_json({"start": lo, "values": values})
-    else:
-        for k, value in zip(range(lo, hi + 1), values):
-            print(f"{k}\t{value}")
-    return 0
+    return _print_step(args, inf_conv_n(_parse_cusps(args.cusps, args.strict)))
 
 
 def _cmd_check(args) -> int:
-    cusps = _parse_cusps(args.cusps)
-    if args.strict:
-        _check_strict(cusps)
+    cusps = _parse_cusps(args.cusps, args.strict)
     if args.which == "pair":
         if len(cusps) != 2:
             raise ValueError(f"check pair requires exactly two gap sets, got {len(cusps)}")
@@ -211,14 +167,14 @@ def _cmd_check(args) -> int:
     else:
         spec = CurveSpec(args.degree, cusps)
         report = check_bl(spec) if args.which == "bl" else check_flmn(spec)
-    return _print_report(report, args.json)
+    return _print_report(args, report)
 
 
 def _cmd_search(args) -> int:
     if args.workers < 1:
         raise ValueError(f"workers must be at least 1, got {args.workers}")
     shard = _parse_shard(args.shard) if args.shard else (0, 1)
-    pool = _parse_cusps(args.pool) if args.pool else None
+    pool = _parse_cusps(args.pool, False) if args.pool else None
     config = SearchConfig(
         n=args.n,
         max_gap_bound=args.max_gap,

@@ -17,9 +17,8 @@ append-only JSON lines.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 from math import comb
 from typing import Iterator, NamedTuple, Optional, Sequence
@@ -57,7 +56,7 @@ class SearchConfig:
     pool: Optional[tuple[GapSet, ...]] = None
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
+        if not _is_int(self.n) or self.n < 1:
             raise ConfigInvalid(f"n must be a positive integer, got {self.n!r}")
         if self.pool is not None:
             pool = tuple(self.pool)
@@ -72,20 +71,16 @@ class SearchConfig:
         else:
             if self.max_gap_bound is None:
                 raise ConfigInvalid("either max_gap_bound or pool is required")
-            if not isinstance(self.max_gap_bound, int) or self.max_gap_bound < 1:
+            if not _is_int(self.max_gap_bound) or self.max_gap_bound < 1:
                 raise ConfigInvalid(f"max_gap_bound must be a positive integer, got {self.max_gap_bound!r}")
-            if self.genus_bound is not None and (
-                not isinstance(self.genus_bound, int) or self.genus_bound < 1
-            ):
+            if self.genus_bound is not None and (not _is_int(self.genus_bound) or self.genus_bound < 1):
                 raise ConfigInvalid(f"genus_bound must be a positive integer, got {self.genus_bound!r}")
-        if self.require_bl is not None and (
-            not isinstance(self.require_bl, int) or self.require_bl < 3
-        ):
+        if self.require_bl is not None and (not _is_int(self.require_bl) or self.require_bl < 3):
             raise ConfigInvalid(f"require_bl must be a degree >= 3, got {self.require_bl!r}")
         shard = tuple(self.shard)
         if (
             len(shard) != 2
-            or not all(isinstance(s, int) and not isinstance(s, bool) for s in shard)
+            or not all(map(_is_int, shard))
             or shard[1] < 1
             or not 0 <= shard[0] < shard[1]
         ):
@@ -139,12 +134,12 @@ def enumerate_gap_sets(
     A genus bound caps the genus at genus_bound and drops the empty set; with
     no bound every genus from 0 up to max_gap_bound appears.
     """
-    if not isinstance(max_gap_bound, int) or isinstance(max_gap_bound, bool) or max_gap_bound < 1:
+    if not _is_int(max_gap_bound) or max_gap_bound < 1:
         raise ValueError(f"max_gap_bound must be a positive integer, got {max_gap_bound!r}")
     if genus_bound is None:
         genus_range = range(max_gap_bound + 1)
     else:
-        if not isinstance(genus_bound, int) or genus_bound < 1:
+        if not _is_int(genus_bound) or genus_bound < 1:
             raise ValueError(f"genus_bound must be a positive integer, got {genus_bound!r}")
         genus_range = range(1, min(genus_bound, max_gap_bound) + 1)
     for genus in genus_range:
@@ -196,21 +191,19 @@ def search_violations(
     shard_index, shard_count = config.shard
     units = [i for i in range(len(pool)) if i % shard_count == shard_index]
 
-    done: dict[int, list] = {}
+    done: dict[int, list[Violation]] = {}
     out_file = None
     if checkpoint_path is not None:
         done, intact = _load_checkpoint(checkpoint_path, _config_fingerprint(config))
-        # drop a torn tail, so that the next record starts on a line of its own
-        os.truncate(checkpoint_path, intact)
         out_file = open(checkpoint_path, "a", encoding="utf-8")
-        if not done and os.path.getsize(checkpoint_path) == 0:
+        # drop a torn tail, so that the next record starts on a line of its own
+        out_file.truncate(intact)
+        if intact == 0:
             out_file.write(_json_line({"config": _config_fingerprint(config)}))
             out_file.flush()
 
     pending = [i for i in units if i not in done]
     executor = None
-    futures = {}
-    layout = None
     try:
         if workers > 1 and pending:
             from concurrent.futures import ProcessPoolExecutor
@@ -218,21 +211,18 @@ def search_violations(
             executor = ProcessPoolExecutor(
                 max_workers=workers, initializer=_init_worker, initargs=(config,)
             )
-            futures = {i: executor.submit(_scan_unit_task, i) for i in pending}
+            scans = executor.map(_scan_unit_task, pending)
         else:
-            layout = _prep_pool(pool, config.n)
+            scan = partial(_scan_unit, _prep_pool(pool, config.n), require_bl=config.require_bl)
+            scans = map(scan, pending)
 
         for i in units:
             if i in done:
-                violations = [Violation.from_json_dict(d) for d in done[i]]
+                violations = done[i]
             else:
-                if i in futures:
-                    found = futures.pop(i).result()
-                else:
-                    found = _scan_unit(layout, i, config.require_bl)
                 violations = [
                     Violation(tuple(pool[x] for x in path), j, k, bound)
-                    for path, j, k, bound in found
+                    for path, j, k, bound in next(scans)
                 ]
                 if out_file is not None:
                     out_file.write(
@@ -448,20 +438,23 @@ def _json_line(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _load_checkpoint(path: str, fingerprint: dict) -> tuple[dict[int, list], int]:
+def _load_checkpoint(path: str, fingerprint: dict) -> tuple[dict[int, list[Violation]], int]:
     """Units recorded in the checkpoint, and the byte length of its intact part.
 
     The intact part ends after the last whole line that parses; what follows is
     the torn append of an interrupted run.  A first line that is neither this
-    configuration's header nor a torn piece of it means a foreign file.
+    configuration's header nor a torn piece of it means a foreign file, and a
+    whole line that parses but fails to load as a unit record (a bare number,
+    a violation without cusps) a damaged one; both raise ConfigInvalid.  A
+    missing file has no intact part.
     """
-    done: dict[int, list] = {}
-    if not os.path.exists(path):
-        with open(path, "w", encoding="utf-8"):
-            pass
-        return done, 0
+    done: dict[int, list[Violation]] = {}
     header = _json_line({"config": fingerprint}).encode()
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except FileNotFoundError:
+        return done, 0
+    with fh:
         first = fh.readline()
         if first != header:
             if header.startswith(first):
@@ -475,10 +468,21 @@ def _load_checkpoint(path: str, fingerprint: dict) -> tuple[dict[int, list], int
                 record = json.loads(line)
             except json.JSONDecodeError:
                 break
-            if "unit" in record:
-                done[record["unit"]] = record.get("violations", [])
+            try:
+                if "unit" in record:
+                    done[record["unit"]] = [
+                        Violation.from_json_dict(d) for d in record.get("violations", [])
+                    ]
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ConfigInvalid(
+                    f"checkpoint {path} has a malformed record after byte {intact}: {exc!r}"
+                ) from None
             intact += len(line)
     return done, intact
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 _WORKER: Optional[tuple] = None

@@ -72,6 +72,10 @@ class TestEnumerateGapSets:
         with pytest.raises(ValueError):
             list(enumerate_gap_sets(3, genus_bound=0))
 
+    def test_bool_genus_bound_rejected(self):
+        with pytest.raises(ValueError):
+            list(enumerate_gap_sets(3, genus_bound=True))
+
 
 class TestSearchConfig:
     def test_defaults(self):
@@ -93,6 +97,9 @@ class TestSearchConfig:
             {"n": 2, "max_gap_bound": 5, "require_bl": 2},
             {"n": 2, "max_gap_bound": 5, "shard": (1, 1)},
             {"n": 2, "max_gap_bound": 5, "shard": (0, 0)},
+            {"n": 2, "max_gap_bound": True},
+            {"n": 2, "max_gap_bound": 5, "genus_bound": True},
+            {"n": 2, "max_gap_bound": 5, "require_bl": True},
         ],
     )
     def test_invalid_configs(self, kwargs):
@@ -341,3 +348,14 @@ class TestCheckpoint:
         with pytest.raises(ConfigInvalid, match="different configuration"):
             run(self.CONFIG, checkpoint_path=str(path))
         assert path.read_text(encoding="utf-8") == "not a checkpoint\n"
+
+    @pytest.mark.parametrize("record", ['{"unit": 0, "violations": [{"j": 1}]}', "5"])
+    def test_malformed_record_is_rejected_and_left_alone(self, tmp_path, record):
+        path = tmp_path / "ck.jsonl"
+        run(self.CONFIG, checkpoint_path=str(path))
+        header = path.read_bytes().splitlines(keepends=True)[0]
+        data = header + record.encode() + b"\n"
+        path.write_bytes(data)
+        with pytest.raises(ConfigInvalid, match="malformed record"):
+            run(self.CONFIG, checkpoint_path=str(path))
+        assert path.read_bytes() == data
