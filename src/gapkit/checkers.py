@@ -27,6 +27,8 @@ __all__ = [
     "CheckRow",
     "CheckReport",
     "validate_spec",
+    "bl_genus",
+    "bl_rows",
     "product_k_closed_form",
     "check_pair_inequality",
     "check_bl",
@@ -124,9 +126,24 @@ def _fail_witness(rows) -> Optional[dict]:
     return None
 
 
+def bl_genus(degree: int) -> int:
+    """The total cusp genus (d-1)(d-2)/2 that a degree-d curve requires."""
+    return (degree - 1) * (degree - 2) // 2
+
+
+def bl_rows(degree: int) -> tuple[tuple[int, int, int], ...]:
+    """The bl identity at degree d: (j, jd+1, (j-d+1)(j-d+2)/2) for j in [-1, d-2].
+
+    The convolution of the cusps' gap functions at the point jd+1 must equal
+    the target (j-d+1)(j-d+2)/2.
+    """
+    d = degree
+    return tuple((j, j * d + 1, (j - d + 1) * (j - d + 2) // 2) for j in range(-1, d - 1))
+
+
 def validate_spec(spec: CurveSpec) -> None:
     """Require total cusp genus (d-1)(d-2)/2; raises GenusMismatch otherwise."""
-    required = (spec.degree - 1) * (spec.degree - 2) // 2
+    required = bl_genus(spec.degree)
     if spec.total_genus != required:
         raise GenusMismatch(spec.total_genus, required)
 
@@ -173,17 +190,15 @@ def check_bl(spec: CurveSpec) -> CheckReport:
     """Compare the n-ary convolution at jd+1 with (j-d+1)(j-d+2)/2, j in [-1, d-2]."""
     validate_spec(spec)
     conv = inf_conv_n(spec.cusps)
-    d = spec.degree
     rows = []
-    for j in range(-1, d - 1):
-        point = j * d + 1
+    for j, point, target in bl_rows(spec.degree):
         lhs = conv(point)
         direct = inf_conv_eval(spec.cusps, point)
         if direct != lhs:
             raise RuntimeError(
                 f"internal: direct minimization {direct} != fold value {lhs} at k={point}"
             )
-        rows.append(_row(j, lhs, (j - d + 1) * (j - d + 2) // 2, "=="))
+        rows.append(_row(j, lhs, target, "=="))
     rows = tuple(rows)
     return CheckReport.build("bl", rows, _fail_witness(rows))
 

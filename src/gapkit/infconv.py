@@ -1,10 +1,12 @@
 """Infimum (min-plus) convolution of gap functions and step functions.
 
 (I_1 <> ... <> I_n)(k) is the minimum of I_1(k_1) + ... + I_n(k_n) over integer
-splits k_1 + ... + k_n = k.  Every function here is nonincreasing, has slope -1
-below 0, and vanishes beyond a finite cutoff, so the minimum is attained inside
-a finite window: pushing any argument above its cutoff or below the window's
-lower end can only raise the sum.  Brute force within the window is exact.
+splits k_1 + ... + k_n = k.  Every function here is 1-Lipschitz (each step falls
+by 0 or 1), has slope -1 below 0, and vanishes beyond a finite cutoff, as gap
+functions and their convolutions do; StepFunction rejects any other table.  So
+the minimum is attained inside a finite window: pushing any argument above its
+cutoff or below the window's lower end can only raise the sum.  Brute force
+within the window is exact.
 """
 
 from __future__ import annotations
@@ -21,12 +23,12 @@ __all__ = ["StepFunction", "inf_conv_eval", "inf_conv_pair", "inf_conv_n"]
 
 @dataclass(frozen=True)
 class StepFunction:
-    """Nonincreasing integer function tabulated on [0, K_max], zero beyond.
+    """1-Lipschitz nonincreasing integer function tabulated on [0, K_max], zero beyond.
 
     Closed-form tails: genus - k for k <= 0 and 0 for k >= K_max.  The table is
     normalized to the smallest cutoff, so values ends with exactly one zero
-    (a lone zero for the zero function).  Steps down may exceed 1 in general;
-    convolutions of gap functions are always 1-Lipschitz.
+    (a lone zero for the zero function).  Each step falls by 0 or 1, as for
+    every gap function and every convolution of gap functions.
     """
 
     genus: int
@@ -44,8 +46,8 @@ class StepFunction:
         if values[-1] != 0:
             raise ValueError("values must end at 0")
         for i in range(len(values) - 1):
-            if values[i] < values[i + 1]:
-                raise ValueError(f"values must be nonincreasing, rise at index {i}")
+            if not 0 <= values[i] - values[i + 1] <= 1:
+                raise ValueError(f"each step must fall by 0 or 1, not at index {i}")
         while len(values) >= 2 and values[-2] == 0:
             values = values[:-1]
         object.__setattr__(self, "values", values)
@@ -91,10 +93,6 @@ def _as_gap_set(x: ConvInput) -> GapSet:
     raise TypeError(f"expected GapSet or GapFunction, got {type(x).__name__}")
 
 
-def _is_unit_step(values: Sequence[int]) -> bool:
-    return all(values[i] - values[i + 1] <= 1 for i in range(len(values) - 1))
-
-
 def _pair_table_unit(va: Sequence[int], vb: Sequence[int]) -> list:
     """Min-plus table of two 1-Lipschitz step tables on [0, Ka + Kb].
 
@@ -116,36 +114,13 @@ def _pair_table_unit(va: Sequence[int], vb: Sequence[int]) -> list:
     return out
 
 
-def _pair_table_general(va: Sequence[int], vb: Sequence[int], ga: int, gb: int) -> list:
-    """Min-plus table for arbitrary step tables, allowing negative arguments.
-
-    A step larger than 1 can make a negative argument (slope -1 tail on one
-    side, big drop on the other) beat every split in [0, k], so x scans the
-    full window [k - Kb, Ka]; outside it one side is pinned at 0 while the
-    other can only grow.
-    """
-    ka = len(va) - 1
-    kb = len(vb) - 1
-    out = []
-    for k in range(ka + kb + 1):
-        best = None
-        for x in range(k - kb, ka + 1):
-            y = k - x
-            v = (va[x] if x >= 0 else ga - x) + (vb[y] if y >= 0 else gb - y)
-            if best is None or v < best:
-                best = v
-        out.append(best)
-    return out
-
-
 def inf_conv_pair(a: ConvInput, b: ConvInput) -> StepFunction:
-    """Pairwise infimum convolution, tabulated on [0, Ka + Kb]."""
-    sa = _as_step(a)
-    sb = _as_step(b)
-    if _is_unit_step(sa.values) and _is_unit_step(sb.values):
-        table = _pair_table_unit(sa.values, sb.values)
-    else:
-        table = _pair_table_general(sa.values, sb.values, sa.genus, sb.genus)
+    """Pairwise infimum convolution, tabulated on [0, Ka + Kb].
+
+    Every StepFunction is 1-Lipschitz, so the splits in [0, k] that
+    _pair_table_unit scans hold the minimum at every point k.
+    """
+    table = _pair_table_unit(_as_step(a).values, _as_step(b).values)
     return StepFunction(table[0], tuple(table))
 
 

@@ -24,6 +24,7 @@ from math import comb
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .alexpoly import IntPolynomial, KSequence, alexander_from_gaps, expand_k_sequence, poly_mul
+from .checkers import bl_genus, bl_rows
 from .errors import ConfigInvalid
 from .gapset import GapFunction, GapSet, is_semigroup_complement
 from .infconv import inf_conv_eval
@@ -359,9 +360,10 @@ def _scan_unit(layout: _Layout, first: int, require_bl: Optional[int]) -> list:
     below_top = bits - 1
     found = []
     path = [first]
+    bl = None if require_bl is None else (bl_genus(require_bl), bl_rows(require_bl))
 
     def leaf(es: list, u: int, table: int, genus_sum: int, max_gap_sum: int) -> None:
-        if require_bl is not None and not _bl_holds(table, bits, genus_sum, require_bl):
+        if bl is not None and not _bl_holds(table, bits, genus_sum, *bl):
             return
         pos = u + es[2]
         rhs = table >> bits
@@ -409,15 +411,14 @@ def _scan_unit(layout: _Layout, first: int, require_bl: Optional[int]) -> list:
     return found
 
 
-def _bl_holds(table: int, bits: int, genus_sum: int, degree: int) -> bool:
-    """The degree's convolution identity at the points jd+1, read off a packed table."""
-    if genus_sum != (degree - 1) * (degree - 2) // 2:
+def _bl_holds(table: int, bits: int, genus_sum: int, required: int, rows: tuple) -> bool:
+    """The bl identity read off a packed table, for bl_genus and bl_rows of a degree."""
+    if genus_sum != required:
         return False
     mask = (1 << bits) - 1
-    for j in range(-1, degree - 1):
-        point = j * degree + 1
+    for _, point, target in rows:
         lhs = genus_sum - point if point <= 0 else table >> bits * point & mask
-        if lhs != (j - degree + 1) * (j - degree + 2) // 2:
+        if lhs != target:
             return False
     return True
 
@@ -441,10 +442,10 @@ def _json_line(obj: dict) -> str:
 def _load_checkpoint(path: str, fingerprint: dict) -> tuple[dict[int, list[Violation]], int]:
     """Units recorded in the checkpoint, and the byte length of its intact part.
 
-    The intact part ends after the last whole line that parses; what follows is
-    the torn append of an interrupted run.  A first line that is neither this
-    configuration's header nor a torn piece of it means a foreign file, and a
-    whole line that parses but fails to load as a unit record (a bare number,
+    Only the last line can be torn by an interrupted run, so a final line with
+    no newline is left out of the intact part.  A first line that is neither
+    this configuration's header nor a torn piece of it means a foreign file,
+    and a whole line that does not load as a unit record (not JSON, no unit,
     a violation without cusps) a damaged one; both raise ConfigInvalid.  A
     missing file has no intact part.
     """
@@ -466,13 +467,8 @@ def _load_checkpoint(path: str, fingerprint: dict) -> tuple[dict[int, list[Viola
                 break
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError:
-                break
-            try:
-                if "unit" in record:
-                    done[record["unit"]] = [
-                        Violation.from_json_dict(d) for d in record.get("violations", [])
-                    ]
+                unit = record["unit"]
+                done[unit] = [Violation.from_json_dict(d) for d in record.get("violations", [])]
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigInvalid(
                     f"checkpoint {path} has a malformed record after byte {intact}: {exc!r}"

@@ -285,6 +285,20 @@ class TestSearch:
         assert code1 == code2 == 1
         assert second_run == first_run
 
+    def test_checkpoint_damaged_before_last_line_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "ck.jsonl"
+        args = ("search", "--n", "2", "--pool", "1;1,3;1,2,5,7;2", "--checkpoint", str(path))
+        assert run_cli(capsys, *args)[0] == 0
+        lines = path.read_bytes().splitlines(keepends=True)
+        assert len(lines) == 5
+        lines[1] = b"garbled}\n"
+        data = b"".join(lines)
+        path.write_bytes(data)
+        code, out, err = run_cli(capsys, *args)
+        assert (code, out) == (2, "")
+        assert "malformed record" in err
+        assert path.read_bytes() == data
+
     @pytest.mark.parametrize(
         "argv",
         [

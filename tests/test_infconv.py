@@ -1,4 +1,4 @@
-"""Min-plus convolution of nonincreasing step functions."""
+"""Min-plus convolution of 1-Lipschitz step functions."""
 
 from __future__ import annotations
 
@@ -25,14 +25,14 @@ B = GapSet((1, 3))
 C = GapSet((1, 2, 5, 7))
 
 
-def step_functions(max_genus: int = 9, max_len: int = 8):
+def step_functions(max_len: int = 12):
     def build(drops):
         values = [sum(drops)]
         for d in drops:
             values.append(values[-1] - d)
         return StepFunction(values[0], tuple(values))
 
-    return st.builds(build, st.lists(st.integers(0, max_genus), min_size=1, max_size=max_len))
+    return st.builds(build, st.lists(st.integers(0, 1), min_size=1, max_size=max_len))
 
 
 class TestStepFunction:
@@ -59,6 +59,7 @@ class TestStepFunction:
             (1, (1, 1)),  # does not reach zero
             (0, ()),  # empty
             (1, (1, 0.0)),  # non-integer
+            (2, (2, 0)),  # a step down by 2
         ],
     )
     def test_validation(self, genus, values):
@@ -124,16 +125,8 @@ class TestInfConvPair:
 
 
 class TestGeneralStepFunctions:
-    # steep steps can push the optimum outside [0, k]; the window must widen
-    def test_steep_pair_uses_negative_coordinates(self):
-        f = StepFunction(5, (5, 0))
-        g = StepFunction(1, (1, 0))
-        conv = inf_conv_pair(f, g)
-        # at k=0 the best split is x=1, y=-1: 0 + 2 beats every split in [0, k]
-        assert conv(0) == 2
-        assert conv.values == (2, 1, 0)
-        assert conv.genus == 2
-
+    # every 1-Lipschitz table, including ones that drop between 0 and 1,
+    # which no gap function does
     @given(step_functions(), step_functions())
     def test_matches_brute_force_minimum(self, f, g):
         conv = inf_conv_pair(f, g)
@@ -142,12 +135,11 @@ class TestGeneralStepFunctions:
             brute = min(f(x) + g(k - x) for x in range(-span, span + 1))
             assert conv(k) == brute
 
-    @given(step_functions(max_genus=5, max_len=5), step_functions(max_genus=5, max_len=5))
+    @given(step_functions(max_len=8), step_functions(max_len=8))
     def test_commutative(self, f, g):
         assert inf_conv_pair(f, g) == inf_conv_pair(g, f)
 
-    @given(step_functions(max_genus=4, max_len=4), step_functions(max_genus=4, max_len=4),
-           step_functions(max_genus=4, max_len=4))
+    @given(step_functions(max_len=6), step_functions(max_len=6), step_functions(max_len=6))
     def test_associative(self, f, g, h):
         assert inf_conv_pair(inf_conv_pair(f, g), h) == inf_conv_pair(f, inf_conv_pair(g, h))
 

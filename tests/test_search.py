@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import json
-import random
 from functools import reduce
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gapkit import (
     ConfigInvalid,
@@ -26,6 +26,8 @@ from gapkit import (
     verify_violation,
 )
 from gapkit import search
+
+from conftest import gap_sets
 
 A = GapSet((1,))
 B = GapSet((1, 3))
@@ -210,22 +212,13 @@ class TestScanAgainstBruteForce:
     """The search's depth-first scan against a plain per-multiset evaluation."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_random_pools(self, n):
-        rng = random.Random(n)
-        for _ in range(4):
-            size = rng.randint(1, 6 if n < 4 else 4)
-            pool = sorted(
-                {
-                    GapSet(tuple(rng.sample(range(1, 13), rng.randint(0, 7))))
-                    for _ in range(size)
-                },
-                key=lambda g: (g.genus, g.elements),
-            )
-            got = [
-                (tuple(g.elements for g in v.cusps), v.j, v.k, v.bound)
-                for v in run(SearchConfig(n=n, pool=tuple(pool)))
-            ]
-            assert got == brute_force(pool, n)
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(gap_sets(max_element=12, max_size=7), min_size=1, max_size=6, unique=True)
+    )
+    def test_random_pools(self, n, pool):
+        pool = tuple(sorted(pool, key=lambda g: (g.genus, g.elements)))
+        assert hit_tuples(run(SearchConfig(n=n, pool=pool))) == brute_force(pool, n)
 
     def test_require_bl(self, monkeypatch):
         pool = tuple(enumerate_gap_sets(4))
@@ -349,7 +342,9 @@ class TestCheckpoint:
             run(self.CONFIG, checkpoint_path=str(path))
         assert path.read_text(encoding="utf-8") == "not a checkpoint\n"
 
-    @pytest.mark.parametrize("record", ['{"unit": 0, "violations": [{"j": 1}]}', "5"])
+    @pytest.mark.parametrize(
+        "record", ['{"unit": 0, "violations": [{"j": 1}]}', "5", "garbled}", '{"note": 1}']
+    )
     def test_malformed_record_is_rejected_and_left_alone(self, tmp_path, record):
         path = tmp_path / "ck.jsonl"
         run(self.CONFIG, checkpoint_path=str(path))
