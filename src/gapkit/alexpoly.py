@@ -9,6 +9,8 @@ synthetic division.  All arithmetic is exact; Python integers never overflow.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import Sequence
 
 from .errors import BadExpansion, NotGapForm
 from .gapset import GapSet
@@ -24,6 +26,20 @@ __all__ = [
 ]
 
 
+def _trimmed_ints(values, what: str) -> tuple:
+    """values as a tuple without trailing zeros; ValueError on a non-integer or a bool."""
+    values = tuple(values)
+    # one set test for the common all-int case; the loop names the offender
+    if {*map(type, values)} - {int}:
+        for v in values:
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ValueError(f"{what} must be integers, got {v!r}")
+    end = len(values)
+    while end and values[end - 1] == 0:
+        end -= 1
+    return values[:end]
+
+
 @dataclass(frozen=True)
 class IntPolynomial:
     """Dense integer polynomial; index = exponent of t, no trailing zeros."""
@@ -31,13 +47,7 @@ class IntPolynomial:
     coefficients: tuple[int, ...]
 
     def __post_init__(self):
-        coeffs = tuple(self.coefficients)
-        for c in coeffs:
-            if not isinstance(c, int) or isinstance(c, bool):
-                raise ValueError(f"coefficients must be integers, got {c!r}")
-        while coeffs and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        object.__setattr__(self, "coefficients", coeffs)
+        object.__setattr__(self, "coefficients", _trimmed_ints(self.coefficients, "coefficients"))
 
     @property
     def degree(self) -> int:
@@ -76,13 +86,7 @@ class KSequence:
     def __post_init__(self):
         if not isinstance(self.genus, int) or isinstance(self.genus, bool) or self.genus < 0:
             raise ValueError(f"genus must be a nonnegative integer, got {self.genus!r}")
-        ks = tuple(self.ks)
-        for k in ks:
-            if not isinstance(k, int) or isinstance(k, bool):
-                raise ValueError(f"k-coefficients must be integers, got {k!r}")
-        while ks and ks[-1] == 0:
-            ks = ks[:-1]
-        object.__setattr__(self, "ks", ks)
+        object.__setattr__(self, "ks", _trimmed_ints(self.ks, "k-coefficients"))
 
     def at(self, j: int) -> int:
         """k_j, with the implicit zero tail beyond the stored support."""
@@ -138,7 +142,7 @@ def gaps_from_alexander(poly: IntPolynomial) -> GapSet:
 
 def poly_mul(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     """Exact product."""
-    return IntPolynomial(tuple(_mul(list(a.coefficients), list(b.coefficients))))
+    return IntPolynomial(tuple(_mul(a.coefficients, b.coefficients)))
 
 
 def divide_by_t_minus_one(poly: IntPolynomial) -> tuple[IntPolynomial, int]:
@@ -173,24 +177,26 @@ def expand_k_sequence(poly: IntPolynomial, claimed_genus: int) -> KSequence:
 # -- plain-list kernels, shared with the search sweeps --------------------------
 
 
-def _mul(a: list, b: list) -> list:
+def _mul(a: Sequence[int], b: Sequence[int]) -> list:
     if not a or not b:
         return []
+    # the zero-skipping outer loop runs over the sparser factor
+    if len(a) - a.count(0) > len(b) - b.count(0):
+        a, b = b, a
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
+            for j, cb in enumerate(b, i):
+                out[j] += ca * cb
     return out
 
 
 def _div_t1(coeffs: list) -> tuple[list, int]:
-    # synthetic division at root 1, accumulating from the top coefficient down
+    # synthetic division at root 1: the suffix sums from the top coefficient
+    # down are the quotient, highest term first, and the full sum is P(1)
     if not coeffs:
         return [], 0
-    quotient = [0] * (len(coeffs) - 1)
-    acc = 0
-    for i in range(len(coeffs) - 1, 0, -1):
-        acc += coeffs[i]
-        quotient[i - 1] = acc
-    return quotient, acc + coeffs[0]
+    quotient = list(accumulate(reversed(coeffs)))
+    remainder = quotient.pop()
+    quotient.reverse()
+    return quotient, remainder

@@ -4,6 +4,11 @@ Exit codes: 0 success or pass, 1 a checked fail (fail verdict, violations
 found, or a failed validation query), 2 usage or input errors, 3 an internal
 error (a cross-check disagreed or a worker process died), 141 when stdout was
 closed before the output was written (as under `| head`).
+
+JSON output writes integers beyond 2^53 in magnitude as decimal strings.  A
+search line is byte-identical to json.dumps of Violation.to_json_dict() under
+that rule; Violation takes integer j, k and bound only, so the line is
+formatted directly.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from .checkers import CheckReport, CurveSpec, check_bl, check_flmn, check_pair_i
 from .errors import BadExpansion, ConfigInvalid, GenusMismatch, NotGapForm, NotNumerical
 from .gapset import GapSet, gap_function_eval, gaps_from_generators, is_semigroup_complement
 from .infconv import StepFunction, inf_conv_n
-from .search import SearchConfig, search_violations
+from .search import SearchConfig, Violation, search_violations
 
 __all__ = ["main"]
 
@@ -47,9 +52,31 @@ def _json_ready(value):
     return value
 
 
+# every integer beyond 2^53 has at least 16 digits
+_SIXTEEN_DIGITS = re.compile(r"\d{16}")
+
+
+def _json_text(doc) -> str:
+    """json.dumps(_json_ready(doc)), walking doc only when the text could hold a big integer."""
+    text = json.dumps(doc)
+    return json.dumps(_json_ready(doc)) if _SIXTEEN_DIGITS.search(text) else text
+
+
+def _violation_json(violation: Violation) -> str:
+    """A search line: the text of _json_text(violation.to_json_dict()), formatted directly."""
+    cusps = ", ".join(["[%s]" % ", ".join(map(str, g.elements)) for g in violation.cusps])
+    line = '{"cusps": [%s], "j": %d, "k": %d, "bound": %d}' % (
+        cusps,
+        violation.j,
+        violation.k,
+        violation.bound,
+    )
+    return _json_text(violation.to_json_dict()) if _SIXTEEN_DIGITS.search(line) else line
+
+
 def _emit(args, doc, text: str) -> None:
     """Print doc as JSON under --json, and text otherwise."""
-    print(json.dumps(_json_ready(doc)) if args.json else text)
+    sys.stdout.write((_json_text(doc) if args.json else text) + "\n")
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -184,14 +211,15 @@ def _cmd_search(args) -> int:
         shard=shard,
         pool=pool,
     )
+    write = sys.stdout.write
     found = 0
     for violation in search_violations(config, checkpoint_path=args.checkpoint, workers=args.workers):
         found += 1
         if args.json:
-            print(json.dumps(_json_ready(violation.to_json_dict())))
+            write(_violation_json(violation) + "\n")
         else:
             cusps = ";".join(g.to_text() or "-" for g in violation.cusps)
-            print(f"{cusps} j={violation.j} k={violation.k} bound={violation.bound}")
+            write(f"{cusps} j={violation.j} k={violation.k} bound={violation.bound}\n")
     return 1 if found else 0
 
 

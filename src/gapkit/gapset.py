@@ -41,6 +41,10 @@ class GapSet:
         object.__setattr__(self, "elements", elems)
         object.__setattr__(self, "_mask", mask)
 
+    def __hash__(self) -> int:
+        # equal sets have equal masks; cheaper than hashing the elements tuple
+        return hash(self._mask)
+
     @property
     def genus(self) -> int:
         """Number of gaps."""

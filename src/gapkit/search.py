@@ -91,7 +91,7 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class Violation:
-    """A multiset of cusps and an index j with k_j > I(j+1)."""
+    """A multiset of cusps and an index j with k_j > I(j+1); j, k and bound are ints."""
 
     cusps: tuple[GapSet, ...]
     j: int
@@ -105,6 +105,10 @@ class Violation:
         for g in cusps:
             if not isinstance(g, GapSet):
                 raise ValueError(f"cusps must be GapSet values, got {type(g).__name__}")
+        if not (_is_int(self.j) and _is_int(self.k) and _is_int(self.bound)):
+            raise ValueError(
+                f"j, k and bound must be integers, got {self.j!r}, {self.k!r}, {self.bound!r}"
+            )
         if self.k <= self.bound:
             raise ValueError(f"not a violation: k = {self.k} <= bound = {self.bound}")
         object.__setattr__(self, "cusps", cusps)

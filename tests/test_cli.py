@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import shutil
 import subprocess
@@ -9,9 +10,12 @@ import sys
 from functools import reduce
 
 import pytest
+from hypothesis import given, strategies as st
 
 from gapkit import Violation, verify_violation
-from gapkit.cli import main
+from gapkit.cli import _json_ready, _json_text, _violation_json, main
+
+from conftest import gap_sets
 
 
 def run_cli(capsys, *argv):
@@ -317,6 +321,74 @@ class TestSearch:
         assert "error:" in err
 
 
+class TestSearchStreamBytes:
+    """Whole search streams pinned by the sha256 of their stdout bytes."""
+
+    @pytest.mark.parametrize(
+        "flags, digest",
+        [
+            (
+                ("--max-gap", "5", "--json"),
+                "5901f923568853f33419e021db1ff4d82066bc591925bba8979c3213b9aed355",
+            ),
+            (
+                ("--max-gap", "6", "--json"),
+                "954bf990bf9edfeb06ca46366028a441cb12c6e0b2df38827ad0daeeee1f227d",
+            ),
+            (
+                ("--max-gap", "4"),
+                "05da7f056e7bb578c02826fa3fa992f954db2f472656d9941d92934411ffb4e5",
+            ),
+        ],
+    )
+    def test_stdout_digest(self, flags, digest):
+        proc = subprocess.run(
+            [sys.executable, "-m", "gapkit.cli", "search", "--n", "3", *flags],
+            capture_output=True,
+        )
+        assert (proc.returncode, proc.stderr) == (1, b"")
+        assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+# Integers on both sides of 2^53, with exactly 15, 16 and 17 digits among them.
+EDGE_INTS = st.sampled_from(
+    [2**53 - 1, 2**53, 2**53 + 1, 10**15 - 1, 10**15, 10**16 - 1, 10**16, 10**17]
+).flatmap(lambda v: st.sampled_from([v, -v]))
+WIDE_INTS = st.one_of(st.integers(-1000, 1000), st.integers(-(2**70), 2**70), EDGE_INTS)
+DIGIT_RUNS = st.from_regex(r"[a-z ]{0,3}[0-9]{14,18}[a-z ]{0,3}", fullmatch=True)
+
+
+@st.composite
+def violations(draw):
+    # gap elements stay small: a GapSet keeps a bitmask as wide as its largest element
+    cusps = draw(st.lists(gap_sets(max_element=12, max_size=4), min_size=1, max_size=4))
+    j, a, b = draw(WIDE_INTS), draw(WIDE_INTS), draw(WIDE_INTS)
+    return Violation(tuple(cusps), j, max(a, b) + (a == b), min(a, b))
+
+
+class TestEncoders:
+    """Both fast encoders print exactly json.dumps of the _json_ready form."""
+
+    @given(violations())
+    def test_search_line_is_the_json_of_the_violation(self, violation):
+        reference = json.dumps(_json_ready(violation.to_json_dict()))
+        assert _violation_json(violation) == reference
+
+    @given(
+        st.recursive(
+            st.one_of(st.none(), st.booleans(), WIDE_INTS, st.text(max_size=5), DIGIT_RUNS),
+            lambda inner: st.one_of(
+                st.lists(inner, max_size=4),
+                st.lists(inner, max_size=4).map(tuple),
+                st.dictionaries(st.one_of(st.text(max_size=4), DIGIT_RUNS), inner, max_size=4),
+            ),
+            max_leaves=12,
+        )
+    )
+    def test_json_text_matches_json_ready(self, doc):
+        assert _json_text(doc) == json.dumps(_json_ready(doc))
+
+
 class TestSearchFullGolden:
     """The exhaustive n=3, max-gap-8 scan: 3 to 7.5 minutes on 2 cores, ~4.4M output lines."""
 
@@ -329,6 +401,7 @@ class TestSearchFullGolden:
         "bound": 16,
     }
     TOTAL = 4373263
+    SHA256 = "900e9891e368ce51b8705adecd51539f6e0e4904acdf3894382165814280d45a"
 
     def test_full_stream(self):
         import jsonschema
@@ -354,13 +427,14 @@ class TestSearchFullGolden:
         proc = subprocess.Popen(
             [sys.executable, "-m", "gapkit.cli", "search", "--n", "3", "--max-gap", "8", "--json"],
             stdout=subprocess.PIPE,
-            text=True,
         )
+        digest = hashlib.sha256()
         count = 0
         first = last = None
         saw_distinguished = False
         try:
             for line in proc.stdout:
+                digest.update(line)
                 doc = json.loads(line)
                 if count == 0:
                     first = doc
@@ -379,6 +453,7 @@ class TestSearchFullGolden:
         assert first == self.FIRST
         assert last == self.LAST
         assert saw_distinguished
+        assert digest.hexdigest() == self.SHA256
 
 
 class TestTopLevel:

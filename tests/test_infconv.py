@@ -189,7 +189,7 @@ class TestInfConvEval:
         with pytest.raises(ValueError):
             inf_conv_n([])
 
-    @given(st.lists(gap_sets(max_element=9, max_size=5), min_size=1, max_size=3))
+    @given(st.lists(gap_sets(max_element=9, max_size=5), min_size=1, max_size=4))
     def test_agrees_with_pairwise_fold(self, sets):
         table = inf_conv_n(sets)
         reach = sum(g.max_gap + 1 for g in sets)

@@ -120,6 +120,13 @@ class TestViolation:
         with pytest.raises(ValueError):
             Violation((), 1, 3, 2)
 
+    @pytest.mark.parametrize(
+        "j, k, bound", [(2, 3.0, 2), (True, 3, 2), (2, 3, 2.0), (2, "3", 2), (2, 3, None)]
+    )
+    def test_non_integer_fields_rejected(self, j, k, bound):
+        with pytest.raises(ValueError, match="must be integers"):
+            Violation((A, A, A), j, k, bound)
+
     def test_json_round_trip(self):
         v = Violation((A, B, C), 2, 6, 5)
         d = v.to_json_dict()
@@ -343,7 +350,16 @@ class TestCheckpoint:
         assert path.read_text(encoding="utf-8") == "not a checkpoint\n"
 
     @pytest.mark.parametrize(
-        "record", ['{"unit": 0, "violations": [{"j": 1}]}', "5", "garbled}", '{"note": 1}']
+        "record",
+        [
+            '{"unit": 0, "violations": [{"j": 1}]}',
+            "5",
+            "garbled}",
+            '{"note": 1}',
+            # a float or a bool compares equal to the int that re-verification expects
+            '{"unit": 0, "violations": [{"cusps": [[1], [1], [1]], "j": 2, "k": 3.0, "bound": 2}]}',
+            '{"unit": 0, "violations": [{"cusps": [[1], [1], [1]], "j": true, "k": 3, "bound": 2}]}',
+        ],
     )
     def test_malformed_record_is_rejected_and_left_alone(self, tmp_path, record):
         path = tmp_path / "ck.jsonl"
