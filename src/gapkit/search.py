@@ -1,13 +1,15 @@
 """Exhaustive and pruned search for indices where k_j exceeds the bound I(j+1).
 
-Multisets of n gap sets are drawn from an enumerated (or explicitly given)
-pool in canonical order.  The scan carries each prefix's elementary symmetric
-sums of the gap polynomials and its convolution table as packed integers, one
-coefficient per fixed-width bit slot; every hit is re-verified through the
-product polynomial and the independent oracle route, which share no arithmetic
-with the scan, before it is emitted.
-Index 0 is skipped in the scan because k_0 and I(1) always agree; that
-identity is asserted per multiset rather than assumed.
+Multisets of n gap sets are drawn from a pool, either enumerated in (genus,
+lex) order or given explicitly and taken in the order given.  The scan
+carries each prefix's elementary symmetric sums of the gap polynomials and its
+convolution table as packed integers, one coefficient per fixed-width bit
+slot; every hit is re-verified through the product polynomial and the
+independent oracle route, which share no arithmetic with the scan, before it
+is emitted.
+Every index j >= 1 of the k-sequence is checked.  Index 0 is skipped because
+k_0 and I(1) always agree; that identity is asserted per multiset rather than
+assumed.
 
 Work units are keyed by the first pool index of the multiset, which makes
 sharding deterministic and lets a checkpoint file record completed units as
@@ -43,7 +45,8 @@ class SearchConfig:
     """What to search: multiset size, pool of gap sets, filters, and sharding.
 
     The pool is either enumerated (all subsets of {1..max_gap_bound}, with
-    optional genus cap and semigroup filter) or given explicitly via pool.
+    optional genus cap and semigroup filter) or given explicitly via pool,
+    as distinct gap sets scanned in the order given.
     require_bl keeps only multisets passing the degree-d convolution identity.
     shard = (index, count) selects every count-th work unit.
     """
@@ -63,9 +66,13 @@ class SearchConfig:
             pool = tuple(self.pool)
             if not pool:
                 raise ConfigInvalid("pool must be nonempty when given")
+            seen = set()
             for g in pool:
                 if not isinstance(g, GapSet):
                     raise ConfigInvalid(f"pool entries must be GapSet values, got {type(g).__name__}")
+                if g in seen:
+                    raise ConfigInvalid(f"duplicate pool entry {list(g.elements)}")
+                seen.add(g)
             if self.max_gap_bound is not None or self.genus_bound is not None or self.semigroup_only:
                 raise ConfigInvalid("an explicit pool cannot be combined with enumeration bounds or filters")
             object.__setattr__(self, "pool", pool)
@@ -99,12 +106,13 @@ class Violation:
     bound: int
 
     def __post_init__(self):
-        cusps = tuple(sorted(self.cusps, key=lambda g: (g.genus, g.elements)))
+        cusps = tuple(self.cusps)
         if not cusps:
             raise ValueError("at least one cusp required")
         for g in cusps:
             if not isinstance(g, GapSet):
                 raise ValueError(f"cusps must be GapSet values, got {type(g).__name__}")
+        cusps = tuple(sorted(cusps, key=lambda g: (g.genus, g.elements)))
         if not (_is_int(self.j) and _is_int(self.k) and _is_int(self.bound)):
             raise ValueError(
                 f"j, k and bound must be integers, got {self.j!r}, {self.k!r}, {self.bound!r}"
@@ -185,7 +193,7 @@ def search_violations(
     checkpoint_path: Optional[str] = None,
     workers: int = 1,
 ) -> Iterator[Violation]:
-    """Scan all multisets of the pool and yield violations in canonical order.
+    """Scan all multisets of the pool and yield violations in pool order.
 
     With a checkpoint path, completed work units are replayed from the file
     instead of recomputed, and newly finished units are appended to it, so an
@@ -208,17 +216,15 @@ def search_violations(
             out_file.flush()
 
     pending = [i for i in units if i not in done]
+    scan = partial(_scan_unit, _prep_pool(pool, config.n), require_bl=config.require_bl)
     executor = None
     try:
         if workers > 1 and pending:
             from concurrent.futures import ProcessPoolExecutor
 
-            executor = ProcessPoolExecutor(
-                max_workers=workers, initializer=_init_worker, initargs=(config,)
-            )
-            scans = executor.map(_scan_unit_task, pending)
+            executor = ProcessPoolExecutor(max_workers=workers)
+            scans = executor.map(scan, pending)
         else:
-            scan = partial(_scan_unit, _prep_pool(pool, config.n), require_bl=config.require_bl)
             scans = map(scan, pending)
 
         for i in units:
@@ -264,17 +270,15 @@ class _Layout(NamedTuple):
     """What the packed scan needs about a pool and a multiset size n.
 
     A packed integer holds coefficient j in bits [bits*j, bits*j + bits).
-    high has the top bit of each of the scan's slots; windows[m] keeps those
-    of slots 1..m.  tails[k - 3] is (k, even, odd) for k = 3..n, the
-    even-parity and odd-parity terms of (t-1)^(k-2), packed.  Each entry of
-    sets is (S, U, T, row0, rows, genus, max_gap) for one gap set, see
-    _prep_pool.
+    high has the top bit of each of the scan's slots.  tails[k - 3] is
+    (k, even, odd) for k = 3..n, the even-parity and odd-parity terms of
+    (t-1)^(k-2), packed.  Each entry of sets is (S, U, T, row0, rows, genus)
+    for one gap set, see _prep_pool.
     """
 
     n: int
     bits: int
     high: int
-    windows: tuple
     tails: tuple
     sets: tuple
 
@@ -340,11 +344,9 @@ def _prep_pool(pool: Sequence[GapSet], n: int) -> _Layout:
                 gap_set.genus * ones,
                 tuple(rows),
                 gap_set.genus,
-                gap_set.max_gap,
             )
         )
-    windows = tuple(high & ((1 << bits * (m + 1)) - 1) & ~((1 << bits) - 1) for m in range(width))
-    return _Layout(n, bits, high, windows, tuple(tails), tuple(sets))
+    return _Layout(n, bits, high, tuple(tails), tuple(sets))
 
 
 def _scan_unit(layout: _Layout, first: int, require_bl: Optional[int]) -> list:
@@ -359,14 +361,14 @@ def _scan_unit(layout: _Layout, first: int, require_bl: Optional[int]) -> list:
     terms) against rhs (the odd-parity terms plus T(j+1)); j is a hit where
     pos_j > rhs_j.
     """
-    n, bits, high, windows, tails, sets = layout
+    n, bits, high, tails, sets = layout
     mask = (1 << bits) - 1
     below_top = bits - 1
     found = []
     path = [first]
     bl = None if require_bl is None else (bl_genus(require_bl), bl_rows(require_bl))
 
-    def leaf(es: list, u: int, table: int, genus_sum: int, max_gap_sum: int) -> None:
+    def leaf(es: list, u: int, table: int, genus_sum: int) -> None:
         if bl is not None and not _bl_holds(table, bits, genus_sum, *bl):
             return
         pos = u + es[2]
@@ -378,8 +380,9 @@ def _scan_unit(layout: _Layout, first: int, require_bl: Optional[int]) -> list:
             raise RuntimeError("internal: a packed slot reached its top bit")
         if (pos ^ rhs) & mask:
             raise RuntimeError("internal: k_0 does not equal the convolution at 1")
-        # top bit of slot j clear where rhs_j - pos_j < 0; lowest slot first
-        hits = ~((rhs | high) - pos) & windows[max_gap_sum]
+        # top bit of slot j clear where rhs_j - pos_j < 0; lowest slot first.
+        # Slot 0 never hits, as k_0 = I(1) above, and past the support both sums are 0.
+        hits = ~((rhs | high) - pos) & high
         while hits:
             low = hits & -hits
             hits ^= low
@@ -388,12 +391,12 @@ def _scan_unit(layout: _Layout, first: int, require_bl: Optional[int]) -> list:
             kj = (pos >> bits * j & mask) - (rhs >> bits * j & mask) + bound
             found.append((tuple(path), j, kj, bound))
 
-    def descend(depth: int, start: int, es: list, u: int, table: int, genus_sum: int, max_gap_sum: int) -> None:
+    def descend(depth: int, start: int, es: list, u: int, table: int, genus_sum: int) -> None:
         if depth == n:
-            leaf(es, u, table, genus_sum, max_gap_sum)
+            leaf(es, u, table, genus_sum)
             return
         for idx in range(start, len(sets)):
-            s, u_c, _, row0, rows, genus, max_gap = sets[idx]
+            s, u_c, _, row0, rows, genus = sets[idx]
             grown = es[:]
             for k in range(depth + 1, 0, -1):
                 grown[k] += grown[k - 1] * s
@@ -406,12 +409,12 @@ def _scan_unit(layout: _Layout, first: int, require_bl: Optional[int]) -> list:
                 ge = diff & high
                 new -= diff & (ge - (ge >> below_top))
             path.append(idx)
-            descend(depth + 1, idx, grown, u + u_c, new, genus_sum + genus, max_gap_sum + max_gap)
+            descend(depth + 1, idx, grown, u + u_c, new, genus_sum + genus)
             path.pop()
 
-    s, u, table, _, _, genus, max_gap = sets[first]
+    s, u, table, _, _, genus = sets[first]
     # e_0..e_n, and an e_2 = 0 that a single set needs at its leaf
-    descend(1, first, [1, s] + [0] * n, u, table, genus, max_gap)
+    descend(1, first, [1, s] + [0] * n, u, table, genus)
     return found
 
 
@@ -484,16 +487,3 @@ def _load_checkpoint(path: str, fingerprint: dict) -> tuple[dict[int, list[Viola
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
-
-_WORKER: Optional[tuple] = None
-
-
-def _init_worker(config: SearchConfig) -> None:
-    """Worker start-up: lay out the pool once for every unit this process scans."""
-    global _WORKER
-    _WORKER = (_prep_pool(_resolved_pool(config), config.n), config.require_bl)
-
-
-def _scan_unit_task(first: int) -> list:
-    layout, require_bl = _WORKER
-    return _scan_unit(layout, first, require_bl)

@@ -313,6 +313,7 @@ class TestSearch:
             ("search", "--n", "2", "--max-gap", "3", "--shard", "a/b"),
             ("search", "--n", "2", "--max-gap", "3", "--workers", "0"),
             ("search", "--n", "2", "--max-gap", "3", "--require-bl", "2"),
+            ("search", "--n", "3", "--pool", "1;1,3;1,2,5,7;1"),
         ],
     )
     def test_invalid_configurations(self, capsys, argv):
@@ -328,22 +329,27 @@ class TestSearchStreamBytes:
         "flags, digest",
         [
             (
-                ("--max-gap", "5", "--json"),
+                ("--n", "3", "--max-gap", "5", "--json"),
                 "5901f923568853f33419e021db1ff4d82066bc591925bba8979c3213b9aed355",
             ),
             (
-                ("--max-gap", "6", "--json"),
+                ("--n", "3", "--max-gap", "6", "--json"),
                 "954bf990bf9edfeb06ca46366028a441cb12c6e0b2df38827ad0daeeee1f227d",
             ),
             (
-                ("--max-gap", "4"),
+                ("--n", "3", "--max-gap", "4"),
                 "05da7f056e7bb578c02826fa3fa992f954db2f472656d9941d92934411ffb4e5",
+            ),
+            (
+                # 2,393 lines, some at j past the max-gap sum of their multiset
+                ("--n", "5", "--max-gap", "3", "--json"),
+                "ec5a1c29a449618d4adf05aa2edc581e9aca20b435cf6971a5e32f7ab6974cbf",
             ),
         ],
     )
     def test_stdout_digest(self, flags, digest):
         proc = subprocess.run(
-            [sys.executable, "-m", "gapkit.cli", "search", "--n", "3", *flags],
+            [sys.executable, "-m", "gapkit.cli", "search", *flags],
             capture_output=True,
         )
         assert (proc.returncode, proc.stderr) == (1, b"")

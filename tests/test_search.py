@@ -102,6 +102,7 @@ class TestSearchConfig:
             {"n": 2, "max_gap_bound": True},
             {"n": 2, "max_gap_bound": 5, "genus_bound": True},
             {"n": 2, "max_gap_bound": 5, "require_bl": True},
+            {"n": 2, "pool": (A, A)},
         ],
     )
     def test_invalid_configs(self, kwargs):
@@ -119,6 +120,8 @@ class TestViolation:
             Violation((A,), 1, 2, 2)
         with pytest.raises(ValueError):
             Violation((), 1, 3, 2)
+        with pytest.raises(ValueError, match="GapSet"):
+            Violation(("x",), 1, 3, 2)
 
     @pytest.mark.parametrize(
         "j, k, bound", [(2, 3.0, 2), (True, 3, 2), (2, 3, 2.0), (2, "3", 2), (2, 3, None)]
@@ -147,6 +150,11 @@ class TestSearchViolations:
         assert found[0] == Violation((A, A, A), 2, 3, 2)
         distinguished = [(v.j, v.k, v.bound) for v in found if v.cusps == (A, B, C)]
         assert distinguished == [(2, 6, 5), (8, 4, 2), (10, 3, 2)]
+
+    def test_hits_past_the_max_gap_sum(self):
+        # five cusps <2,3>: k_6 = 8 > I(7) = 2, past the max-gap sum 5
+        found = run(SearchConfig(n=5, pool=(A,)))
+        assert [(v.j, v.k, v.bound) for v in found] == [(2, 10, 4), (4, 15, 3), (6, 8, 2)]
 
     def test_index_zero_never_emitted(self):
         assert all(v.j >= 1 for v in run(SearchConfig(n=3, pool=TRIPLE_POOL)))
@@ -209,7 +217,7 @@ def brute_force(pool, n, require_bl=None):
             ):
                 continue
         ks = expand_k_sequence(reduce(poly_mul, map(alexander_from_gaps, cusps)), genus)
-        for j in range(1, sum(g.max_gap for g in cusps) + 1):
+        for j in range(1, len(ks.ks)):
             if ks.at(j) > conv(j + 1):
                 found.append((tuple(g.elements for g in cusps), j, ks.at(j), conv(j + 1)))
     return found
@@ -248,7 +256,7 @@ class TestScanAgainstBruteForce:
             assert verdicts.count(False) == failing
             assert 0 < failing < len(multisets)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize(
         "pool",
         [(GapSet(()),), (GapSet(()), A, B, GapSet((2, 3)))],
