@@ -173,8 +173,6 @@ def _cmd_alex_mul(args) -> int:
 
 
 def _cmd_expand(args) -> int:
-    if args.genus < 0:
-        raise ValueError(f"genus must be nonnegative, got {args.genus}")
     ks = expand_k_sequence(IntPolynomial.from_text(args.poly), args.genus)
     _emit(args, {"genus": ks.genus, "ks": list(ks.ks)}, ",".join(str(k) for k in ks.ks))
     return 0
@@ -197,8 +195,6 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    if args.workers < 1:
-        raise ValueError(f"workers must be at least 1, got {args.workers}")
     shard = _parse_shard(args.shard) if args.shard else (0, 1)
     pool = _parse_cusps(args.pool, False) if args.pool else None
     config = SearchConfig(

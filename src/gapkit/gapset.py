@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import reduce
 from math import gcd
@@ -136,13 +135,9 @@ def is_semigroup_complement(gap_set: GapSet) -> bool:
 def gap_function_eval(gap_set: GapSet, m: int) -> int:
     """Count members of the gap set and the negative integers that are >= m.
 
-    Closed forms: genus - m for m <= 0, and 0 above the largest gap.
+    Closed form genus - m for m <= 0; above 0, the set bits of the mask from m up.
     """
-    if m <= 0:
-        return gap_set.genus - m
-    if m > gap_set.max_gap:
-        return 0
-    return gap_set.genus - bisect_left(gap_set.elements, m)
+    return gap_set.genus - m if m <= 0 else (gap_set._mask >> m).bit_count()
 
 
 @dataclass(frozen=True)

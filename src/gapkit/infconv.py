@@ -3,10 +3,13 @@
 (I_1 <> ... <> I_n)(k) is the minimum of I_1(k_1) + ... + I_n(k_n) over integer
 splits k_1 + ... + k_n = k.  Every function here is 1-Lipschitz (each step falls
 by 0 or 1), has slope -1 below 0, and vanishes beyond a finite cutoff, as gap
-functions and their convolutions do; StepFunction rejects any other table.  So
-the minimum is attained inside a finite window: pushing any argument above its
-cutoff or below the window's lower end can only raise the sum.  Brute force
-within the window is exact.
+functions and their convolutions do; StepFunction rejects any other table.
+
+The pairwise fold scans splits in [0, k], as the 1-Lipschitz property allows.
+The oracle inf_conv_eval reads the minimum M on [0, reach] off kept tables,
+by monotonicity alone, and takes M(k) = M(0) - k below 0: a split of k <= -1
+has an argument <= -1, and one of k + 1 <= 0 an argument <= 0, where each I_i
+is genus - m, so moving that argument by one changes the sum by exactly 1.
 """
 
 from __future__ import annotations
@@ -137,76 +140,49 @@ def inf_conv_n(gap_sets: Sequence[ConvInput]) -> StepFunction:
 def inf_conv_eval(gap_sets: Sequence[ConvInput], k: int) -> int:
     """Direct n-ary minimization, the independent oracle for the pairwise fold.
 
-    The last argument scans [k - (cutoff sum of the rest), its cutoff]; the
-    rest take the remainder, whose minimum is the same minimization over one
-    input fewer.  For k at or beyond the cutoff sum every term can sit at 0.
+    M(k) is one window scan over kept tables for k in [0, reach], and 0 beyond.
+    Below 0, M(k) = M(k + 1) + 1: a split of k <= -1 has an argument <= -1, and
+    one of k + 1 <= 0 an argument <= 0, where each I_i is genus - m, so moving
+    that argument by one changes the sum by exactly 1.
     """
     sets = tuple(map(_as_gap_set, gap_sets))
     if not sets:
         raise ValueError("at least one input required")
     if len(sets) == 1:
         return gap_function_eval(sets[0], k)
-    return _direct_min(sets, k)
+    xs, rs = _windows(sets, max(k, 0))
+    return min(map(add, xs, rs), default=0) + max(-k, 0)
 
 
-def _direct_min(sets: tuple[GapSet, ...], k: int) -> int:
-    """The full-window minimum at k for two or more inputs."""
-    last_reach = sets[-1].max_gap + 1
-    rs = _values_from(sets[:-1], k - last_reach)
-    if not rs:  # k beyond the cutoff sum: every term sits at 0
-        return 0
-    # x runs up through [k - rest_reach, last_reach], as many points as rs has,
-    # while the remainder k - x runs down rs
-    xs = _values_from(sets[-1:], last_reach + 1 - len(rs))
-    return min(map(add, xs, reversed(rs)))
+def _from(table: list, lo: int) -> list:
+    """A table's function on [lo, reach], as a new list; below 0 it is table[0] - m."""
+    if lo >= 0:
+        return table[lo:]
+    return list(range(table[0] - lo, table[0], -1)) + table
 
 
-def _reach(sets: tuple[GapSet, ...]) -> int:
-    """Cutoff sum of the inputs: their minimum is 0 from here on."""
-    return sum(gs.max_gap + 1 for gs in sets)
-
-
-def _values_from(sets: tuple[GapSet, ...], lo: int) -> list:
-    """The minimum for the inputs at each point of [lo, reach], as a new list.
-
-    One input takes its closed-form tail below 0 and its kept values on
-    [0, reach].  More inputs take their kept table on [-reach, reach]; points
-    below it are computed and dropped, so a far negative k costs time but
-    keeps nothing.
+def _windows(sets: tuple[GapSet, ...], point: int) -> tuple[list, list]:
+    """The last input on [point - rest_reach, last_reach] and the rest, reversed,
+    on [point - last_reach, rest_reach]: the splits of point that can win, as
+    every function here is nonincreasing and 0 from its reach on.  Both lists
+    are empty beyond reach.
     """
-    if len(sets) == 1:
-        gap_set = sets[0]
-        values = _gap_values(gap_set)
-        if lo >= 0:
-            return values[lo:]
-        return list(range(gap_set.genus - lo, gap_set.genus, -1)) + values
-    table = _min_table(sets)
-    reach = len(table) // 2
-    if lo >= -reach:
-        return table[lo + reach :]
-    return [_direct_min(sets, r) for r in range(lo, -reach)] + table
-
-
-@lru_cache(maxsize=1024)
-def _gap_values(gap_set: GapSet) -> list:
-    """The gap function on [0, max_gap + 1], straight from its definition."""
-    return [gap_function_eval(gap_set, m) for m in range(gap_set.max_gap + 2)]
+    last, rest = _min_table(sets[-1:]), _min_table(sets[:-1])
+    rs = _from(rest, point + 1 - len(last))
+    rs.reverse()
+    return _from(last, point + 1 - len(rest)), rs
 
 
 # Multisets sharing a prefix of inputs, and the points of one multiset, reuse
-# the prefix's table; each table has 2 * reach + 1 entries.
-@lru_cache(maxsize=1024)
+# the prefix's table; each table has reach + 1 entries.
+@lru_cache(maxsize=2048)
 def _min_table(sets: tuple[GapSet, ...]) -> list:
-    """The minimum for two or more inputs at each point of [-reach, reach].
+    """The minimum for the inputs at each point of [0, reach].
 
-    Point k scans the last input over [k - rest_reach, last_reach] against the
-    rest over [k - last_reach, rest_reach].  With both lists started where the
-    first point needs them, each point is the two lists from index k + reach
-    on, one read forwards and one backwards.
+    One input is its gap function, straight from its definition.  For more,
+    point k reads point 0's windows from index k of the last input's list on.
     """
-    rest = sets[:-1]
-    reach = _reach(sets)
-    xs = _values_from(sets[-1:], -reach - _reach(rest))
-    rs = _values_from(rest, -reach - sets[-1].max_gap - 1)
-    rs.reverse()
-    return [min(map(add, xs[i:], rs[: len(rs) - i])) for i in range(2 * reach + 1)]
+    if len(sets) == 1:
+        return [gap_function_eval(sets[0], m) for m in range(sets[0].max_gap + 2)]
+    xs, rs = _windows(sets, 0)
+    return [min(map(add, xs[k:], rs)) for k in range(len(xs))]

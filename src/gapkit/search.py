@@ -200,14 +200,16 @@ def search_violations(
     interrupted run resumes where it stopped and reproduces the same stream.
     Worker processes change only the wall time, never the output.
     """
+    if not _is_int(workers) or workers < 1:
+        raise ConfigInvalid(f"workers must be at least 1, got {workers!r}")
     pool = _resolved_pool(config)
     shard_index, shard_count = config.shard
-    units = [i for i in range(len(pool)) if i % shard_count == shard_index]
+    units = range(shard_index, len(pool), shard_count)
 
     done: dict[int, list[Violation]] = {}
     out_file = None
     if checkpoint_path is not None:
-        done, intact = _load_checkpoint(checkpoint_path, _config_fingerprint(config))
+        done, intact = _load_checkpoint(checkpoint_path, _config_fingerprint(config), units)
         out_file = open(checkpoint_path, "a", encoding="utf-8")
         # drop a torn tail, so that the next record starts on a line of its own
         out_file.truncate(intact)
@@ -446,15 +448,16 @@ def _json_line(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _load_checkpoint(path: str, fingerprint: dict) -> tuple[dict[int, list[Violation]], int]:
+def _load_checkpoint(path: str, fingerprint: dict, units: range) -> tuple[dict[int, list[Violation]], int]:
     """Units recorded in the checkpoint, and the byte length of its intact part.
 
     Only the last line can be torn by an interrupted run, so a final line with
     no newline is left out of the intact part.  A first line that is neither
     this configuration's header nor a torn piece of it means a foreign file,
-    and a whole line that does not load as a unit record (not JSON, no unit,
-    a violation without cusps) a damaged one; both raise ConfigInvalid.  A
-    missing file has no intact part.
+    and a whole line that does not load as a record of a new unit of this run
+    (not JSON, no unit, a unit that is not an int of `units` or that is
+    already recorded, a violation without cusps) a damaged one; both raise
+    ConfigInvalid.  A missing file has no intact part.
     """
     done: dict[int, list[Violation]] = {}
     header = _json_line({"config": fingerprint}).encode()
@@ -475,6 +478,9 @@ def _load_checkpoint(path: str, fingerprint: dict) -> tuple[dict[int, list[Viola
             try:
                 record = json.loads(line)
                 unit = record["unit"]
+                # 0.0 and False would replay unit 0, and a repeat would replace it
+                if not _is_int(unit) or unit not in units or unit in done:
+                    raise ValueError(f"unit {unit!r} is not a new unit of this run")
                 done[unit] = [Violation.from_json_dict(d) for d in record.get("violations", [])]
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigInvalid(

@@ -16,7 +16,7 @@ from gapkit import (
     inf_conv_n,
     inf_conv_pair,
 )
-from gapkit.infconv import _gap_values, _min_table
+from gapkit.infconv import _min_table
 
 from conftest import gap_sets
 
@@ -159,19 +159,17 @@ class TestInfConvEval:
         assert inf_conv_eval(sets, -5) == total + 5
 
     def test_far_negative_point_keeps_bounded_tables(self):
-        # points below -reach are computed and dropped, so after k = -60 the
-        # kept tables are one per input on [0, reach] and one per prefix of two
-        # or more inputs on [-reach, reach]
+        # a point below 0 is read off the value at 0, so after k = -60 the
+        # kept tables are one per input and one for the first two, each on
+        # [0, reach]
         sets = (GapSet((1, 8)), GapSet((1, 2, 4)), GapSet((1, 2, 3)))
         total = sum(g.genus for g in sets)
-        _gap_values.cache_clear()
         _min_table.cache_clear()
         assert inf_conv_eval(sets, -60) == total + 60
-        assert _gap_values.cache_info().currsize == 3
-        for g in sets:
-            assert len(_gap_values(g)) == g.max_gap + 2
-        assert _min_table.cache_info().currsize == 1
-        assert len(_min_table(sets[:2])) == 2 * sum(g.max_gap + 1 for g in sets[:2]) + 1
+        assert _min_table.cache_info().currsize == 4
+        for prefix in (sets[:1], sets[1:2], sets[2:], sets[:2]):
+            assert len(_min_table(prefix)) == sum(g.max_gap + 1 for g in prefix) + 1
+        assert _min_table.cache_info().currsize == 4
 
     def test_beyond_total_cutoff(self):
         sets = [A, B]
@@ -207,7 +205,7 @@ class TestInfConvEval:
         # a minimizer has each argument in [k - reach, its own cutoff]; this
         # window is wider on both sides, and the last argument takes the rest
         reach = sum(g.max_gap + 1 for g in sets)
-        for point in (k, -reach - 3, -reach, -1, reach, reach + 2):
+        for point in (k, -2 * reach - 7, -reach - 3, -reach, -1, reach, reach + 2):
             lo = min(point, 0) - reach - 2
             windows = [range(lo, g.max_gap + 4) for g in sets[:-1]]
             brute = min(

@@ -197,6 +197,13 @@ class TestSearchViolations:
         config = SearchConfig(n=3, pool=TRIPLE_POOL)
         assert run(config, workers=2) == run(config)
 
+    @pytest.mark.parametrize("workers", [0, True])
+    def test_invalid_workers_rejected_before_checkpoint_opens(self, tmp_path, workers):
+        path = tmp_path / "ck.jsonl"
+        with pytest.raises(ConfigInvalid, match="workers"):
+            run(SearchConfig(n=3, pool=TRIPLE_POOL), checkpoint_path=str(path), workers=workers)
+        assert not path.exists()
+
 
 def hit_tuples(found):
     """Violations in brute_force's shape."""
@@ -367,6 +374,11 @@ class TestCheckpoint:
             # a float or a bool compares equal to the int that re-verification expects
             '{"unit": 0, "violations": [{"cusps": [[1], [1], [1]], "j": 2, "k": 3.0, "bound": 2}]}',
             '{"unit": 0, "violations": [{"cusps": [[1], [1], [1]], "j": true, "k": 3, "bound": 2}]}',
+            # a unit that is not an int, not one of this run's units 0-2, or repeated
+            '{"unit": 0.0, "violations": []}',
+            '{"unit": false, "violations": []}',
+            '{"unit": 3, "violations": []}',
+            '{"unit": 0, "violations": []}\n{"unit": 0, "violations": []}',
         ],
     )
     def test_malformed_record_is_rejected_and_left_alone(self, tmp_path, record):
