@@ -174,7 +174,7 @@ def expand_k_sequence(poly: IntPolynomial, claimed_genus: int) -> KSequence:
     return KSequence(claimed_genus, tuple(ks))
 
 
-# -- plain-list kernels, shared with the search sweeps --------------------------
+# -- plain-list kernels behind poly_mul and expand_k_sequence -------------------
 
 
 def _mul(a: Sequence[int], b: Sequence[int]) -> list:

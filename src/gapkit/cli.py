@@ -55,14 +55,8 @@ def _json_ready(value):
 _SIXTEEN_DIGITS = re.compile(r"\d{16}")
 
 
-def _json_text(doc) -> str:
-    """json.dumps(_json_ready(doc)), walking doc only when the text could hold a big integer."""
-    text = json.dumps(doc)
-    return json.dumps(_json_ready(doc)) if _SIXTEEN_DIGITS.search(text) else text
-
-
 def _violation_json(violation: Violation) -> str:
-    """A search line: the text of _json_text(violation.to_json_dict()), formatted directly."""
+    """A search line: json.dumps(_json_ready(violation.to_json_dict())), formatted directly."""
     cusps = ", ".join(["[%s]" % ", ".join(map(str, g.elements)) for g in violation.cusps])
     line = '{"cusps": [%s], "j": %d, "k": %d, "bound": %d}' % (
         cusps,
@@ -70,12 +64,12 @@ def _violation_json(violation: Violation) -> str:
         violation.k,
         violation.bound,
     )
-    return _json_text(violation.to_json_dict()) if _SIXTEEN_DIGITS.search(line) else line
+    return json.dumps(_json_ready(violation.to_json_dict())) if _SIXTEEN_DIGITS.search(line) else line
 
 
 def _emit(args, doc, text: str) -> None:
     """Print doc as JSON under --json, and text otherwise."""
-    sys.stdout.write((_json_text(doc) if args.json else text) + "\n")
+    sys.stdout.write((json.dumps(_json_ready(doc)) if args.json else text) + "\n")
 
 
 def _parse_range(text: str) -> tuple[int, int]:

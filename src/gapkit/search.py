@@ -13,7 +13,8 @@ assumed.
 
 Work units are keyed by the first pool index of the multiset, which makes
 sharding deterministic and lets a checkpoint file record completed units as
-append-only JSON lines.
+append-only JSON lines.  Whichever process runs a unit scans or replays it and
+re-verifies its hits there; the parent only records verified units and yields.
 """
 
 from __future__ import annotations
@@ -198,7 +199,8 @@ def search_violations(
     With a checkpoint path, completed work units are replayed from the file
     instead of recomputed, and newly finished units are appended to it, so an
     interrupted run resumes where it stopped and reproduces the same stream.
-    Worker processes change only the wall time, never the output.
+    Workers scan, build and re-verify their own units, replayed ones included;
+    they change only the wall time, never the output.
     """
     if not _is_int(workers) or workers < 1:
         raise ConfigInvalid(f"workers must be at least 1, got {workers!r}")
@@ -217,39 +219,25 @@ def search_violations(
             out_file.write(_json_line({"config": _config_fingerprint(config)}))
             out_file.flush()
 
-    pending = [i for i in units if i not in done]
-    scan = partial(_scan_unit, _prep_pool(pool, config.n), require_bl=config.require_bl)
+    unit_violations = partial(_unit_violations, pool, _prep_pool(pool, config.n), config.require_bl)
+    tasks = [(i, done.get(i)) for i in units]
     executor = None
     try:
-        if workers > 1 and pending:
+        if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
 
             executor = ProcessPoolExecutor(max_workers=workers)
-            scans = executor.map(scan, pending)
+            results = executor.map(unit_violations, tasks)
         else:
-            scans = map(scan, pending)
+            results = map(unit_violations, tasks)
 
-        for i in units:
-            if i in done:
-                violations = done[i]
-            else:
-                violations = [
-                    Violation(tuple(pool[x] for x in path), j, k, bound)
-                    for path, j, k, bound in next(scans)
-                ]
-                if out_file is not None:
-                    out_file.write(
-                        _json_line(
-                            {"unit": i, "violations": [v.to_json_dict() for v in violations]}
-                        )
-                    )
-                    out_file.flush()
-            for violation in violations:
-                if not verify_violation(violation):
-                    raise RuntimeError(
-                        f"internal: violation failed oracle re-verification: {violation}"
-                    )
-                yield violation
+        for (i, recorded), violations in zip(tasks, results):
+            if out_file is not None and recorded is None:
+                out_file.write(
+                    _json_line({"unit": i, "violations": [v.to_json_dict() for v in violations]})
+                )
+                out_file.flush()
+            yield from violations
     finally:
         if executor is not None:
             executor.shutdown(wait=False, cancel_futures=True)
@@ -266,6 +254,23 @@ def _resolved_pool(config: SearchConfig) -> tuple[GapSet, ...]:
     return tuple(
         enumerate_gap_sets(config.max_gap_bound, config.genus_bound, config.semigroup_only)
     )
+
+
+def _unit_violations(pool: tuple, layout: _Layout, require_bl: Optional[int], task: tuple) -> list:
+    """The violations of task = (unit, recorded), each re-verified in the process running it.
+
+    The unit is scanned when recorded is None; a recorded list, even [], is replayed.
+    """
+    unit, violations = task
+    if violations is None:
+        violations = [
+            Violation(tuple(pool[x] for x in path), j, k, bound)
+            for path, j, k, bound in _scan_unit(layout, unit, require_bl)
+        ]
+    for violation in violations:
+        if not verify_violation(violation):
+            raise RuntimeError(f"internal: violation failed oracle re-verification: {violation}")
+    return violations
 
 
 class _Layout(NamedTuple):

@@ -320,6 +320,15 @@ class TestCheckpoint:
         monkeypatch.setattr("gapkit.search._scan_unit", boom)
         assert run(self.CONFIG, checkpoint_path=path) == reference
 
+    def test_record_is_written_only_after_its_hits_verify(self, tmp_path, monkeypatch):
+        path = tmp_path / "ck.jsonl"
+        monkeypatch.setattr("gapkit.search.verify_violation", lambda v: False)
+        with pytest.raises(RuntimeError, match="re-verification"):
+            run(self.CONFIG, checkpoint_path=str(path))
+        lines = path.read_bytes().splitlines()
+        assert len(lines) == 1  # the header, and no record of the failed unit 0
+        assert "config" in json.loads(lines[0])
+
     def test_partial_run_resumes(self, tmp_path):
         path = str(tmp_path / "ck.jsonl")
         reference = run(self.CONFIG)
