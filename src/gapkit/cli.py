@@ -55,9 +55,18 @@ def _json_ready(value):
 _SIXTEEN_DIGITS = re.compile(r"\d{16}")
 
 
-def _violation_json(violation: Violation) -> str:
-    """A search line: json.dumps(_json_ready(violation.to_json_dict())), formatted directly."""
-    cusps = ", ".join(["[%s]" % ", ".join(map(str, g.elements)) for g in violation.cusps])
+def _cusps_json(cusps: Sequence[GapSet]) -> str:
+    """The items of a search line's "cusps" list, in json.dumps's layout."""
+    return ", ".join(["[%s]" % ", ".join(map(str, g.elements)) for g in cusps])
+
+
+def _violation_json(violation: Violation, cusps: Optional[str] = None) -> str:
+    """A search line: json.dumps(_json_ready(violation.to_json_dict())), formatted directly.
+
+    cusps, when given, is _cusps_json(violation.cusps), kept from an earlier line.
+    """
+    if cusps is None:
+        cusps = _cusps_json(violation.cusps)
     line = '{"cusps": [%s], "j": %d, "k": %d, "bound": %d}' % (
         cusps,
         violation.j,
@@ -202,12 +211,19 @@ def _cmd_search(args) -> int:
     )
     write = sys.stdout.write
     found = 0
+    last = None
     for violation in search_violations(config, checkpoint_path=args.checkpoint, workers=args.workers):
         found += 1
+        # the hits of one multiset share their cusps tuple, so its text is made once
+        if violation.cusps is not last:
+            last = violation.cusps
+            if args.json:
+                cusps = _cusps_json(last)
+            else:
+                cusps = ";".join(g.to_text() or "-" for g in last)
         if args.json:
-            write(_violation_json(violation) + "\n")
+            write(_violation_json(violation, cusps) + "\n")
         else:
-            cusps = ";".join(g.to_text() or "-" for g in violation.cusps)
             write(f"{cusps} j={violation.j} k={violation.k} bound={violation.bound}\n")
     return 1 if found else 0
 

@@ -6,10 +6,14 @@ by 0 or 1), has slope -1 below 0, and vanishes beyond a finite cutoff, as gap
 functions and their convolutions do; StepFunction rejects any other table.
 
 The pairwise fold scans splits in [0, k], as the 1-Lipschitz property allows.
+It keeps one StepFunction per gap set and one fold per prefix of inputs, so
+calls on multisets that share a prefix share its table.
 The oracle inf_conv_eval reads the minimum M on [0, reach] off kept tables,
 by monotonicity alone, and takes M(k) = M(0) - k below 0: a split of k <= -1
 has an argument <= -1, and one of k + 1 <= 0 an argument <= 0, where each I_i
 is genus - m, so moving that argument by one changes the sum by exactly 1.
+The two routes keep their tables apart and share no arithmetic, so comparing
+them is still a check of one against the other.
 """
 
 from __future__ import annotations
@@ -78,14 +82,24 @@ class StepFunction:
 ConvInput = Union[GapSet, GapFunction, StepFunction]
 
 
-def _as_step(x: ConvInput) -> StepFunction:
-    if isinstance(x, StepFunction):
+def _conv_input(x: ConvInput) -> Union[GapSet, StepFunction]:
+    """A StepFunction as it is, and the gap set of a GapSet or GapFunction."""
+    if isinstance(x, (GapSet, StepFunction)):
         return x
     if isinstance(x, GapFunction):
-        return StepFunction(x.genus, x.table())
-    if isinstance(x, GapSet):
-        return StepFunction.from_gap_set(x)
+        return x.gap_set
     raise TypeError(f"expected GapSet, GapFunction, or StepFunction, got {type(x).__name__}")
+
+
+def _as_step(x: ConvInput) -> StepFunction:
+    x = _conv_input(x)
+    return x if isinstance(x, StepFunction) else _gap_step(x)
+
+
+@lru_cache(maxsize=1024)
+def _gap_step(gap_set: GapSet) -> StepFunction:
+    """The gap set's table, built and validated once per gap set."""
+    return StepFunction.from_gap_set(gap_set)
 
 
 def _as_gap_set(x: ConvInput) -> GapSet:
@@ -128,13 +142,24 @@ def inf_conv_pair(a: ConvInput, b: ConvInput) -> StepFunction:
 
 
 def inf_conv_n(gap_sets: Sequence[ConvInput]) -> StepFunction:
-    """Left fold of inf_conv_pair over the inputs; order does not matter."""
-    if not gap_sets:
+    """Left fold of inf_conv_pair over the inputs; order does not matter.
+
+    The fold of each prefix of the inputs is kept, as the oracle keeps its
+    prefix tables, so a later call on the same prefix starts from it; each
+    table is still built by the pairwise fold and validated by StepFunction
+    the first time it is needed.
+    """
+    inputs = tuple(map(_conv_input, gap_sets))
+    if not inputs:
         raise ValueError("at least one input required")
-    acc = _as_step(gap_sets[0])
-    for x in gap_sets[1:]:
-        acc = inf_conv_pair(acc, x)
-    return acc
+    return _fold(inputs)
+
+
+@lru_cache(maxsize=2048)
+def _fold(inputs: tuple[Union[GapSet, StepFunction], ...]) -> StepFunction:
+    if len(inputs) == 1:
+        return _as_step(inputs[0])
+    return inf_conv_pair(_fold(inputs[:-1]), inputs[-1])
 
 
 def inf_conv_eval(gap_sets: Sequence[ConvInput], k: int) -> int:

@@ -20,9 +20,10 @@ re-verifies its hits there; the parent only records verified units and yields.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 from typing import Iterator, NamedTuple, Optional, Sequence
 
@@ -113,14 +114,15 @@ class Violation:
         for g in cusps:
             if not isinstance(g, GapSet):
                 raise ValueError(f"cusps must be GapSet values, got {type(g).__name__}")
-        cusps = tuple(sorted(cusps, key=lambda g: (g.genus, g.elements)))
+        ordered = tuple(sorted(cusps, key=lambda g: (g.genus, g.elements)))
         if not (_is_int(self.j) and _is_int(self.k) and _is_int(self.bound)):
             raise ValueError(
                 f"j, k and bound must be integers, got {self.j!r}, {self.k!r}, {self.bound!r}"
             )
         if self.k <= self.bound:
             raise ValueError(f"not a violation: k = {self.k} <= bound = {self.bound}")
-        object.__setattr__(self, "cusps", cusps)
+        # keep the tuple given when it is in order, so hits can share one
+        object.__setattr__(self, "cusps", cusps if ordered == cusps else ordered)
 
     def to_json_dict(self) -> dict:
         return {
@@ -227,7 +229,7 @@ def search_violations(
             from concurrent.futures import ProcessPoolExecutor
 
             executor = ProcessPoolExecutor(max_workers=workers)
-            results = executor.map(unit_violations, tasks)
+            results = _in_order(executor, unit_violations, tasks, _UNITS_PER_WORKER * workers)
         else:
             results = map(unit_violations, tasks)
 
@@ -247,6 +249,20 @@ def search_violations(
 
 # -- internals ------------------------------------------------------------------
 
+# Units in flight per worker: enough to keep every worker busy, few enough
+# that finished units do not pile up in the parent.
+_UNITS_PER_WORKER = 2
+
+
+def _in_order(executor, fn, tasks: list, window: int) -> Iterator:
+    """fn over the tasks in the executor, in task order, at most `window` in flight."""
+    tasks = iter(tasks)
+    pending = deque(executor.submit(fn, task) for task in islice(tasks, window))
+    while pending:
+        result = pending.popleft().result()
+        pending.extend(executor.submit(fn, task) for task in islice(tasks, 1))
+        yield result
+
 
 def _resolved_pool(config: SearchConfig) -> tuple[GapSet, ...]:
     if config.pool is not None:
@@ -263,10 +279,16 @@ def _unit_violations(pool: tuple, layout: _Layout, require_bl: Optional[int], ta
     """
     unit, violations = task
     if violations is None:
-        violations = [
-            Violation(tuple(pool[x] for x in path), j, k, bound)
-            for path, j, k, bound in _scan_unit(layout, unit, require_bl)
-        ]
+        violations = []
+        path = cusps = None
+        # the hits of one multiset share one path, and so one sorted cusps tuple
+        for at, j, k, bound in _scan_unit(layout, unit, require_bl):
+            if at is not path:
+                path = at
+                cusps = tuple(pool[x] for x in path)
+            violation = Violation(cusps, j, k, bound)
+            cusps = violation.cusps
+            violations.append(violation)
     for violation in violations:
         if not verify_violation(violation):
             raise RuntimeError(f"internal: violation failed oracle re-verification: {violation}")
@@ -390,13 +412,16 @@ def _scan_unit(layout: _Layout, first: int, require_bl: Optional[int]) -> list:
         # top bit of slot j clear where rhs_j - pos_j < 0; lowest slot first.
         # Slot 0 never hits, as k_0 = I(1) above, and past the support both sums are 0.
         hits = ~((rhs | high) - pos) & high
+        if not hits:
+            return
+        at = tuple(path)
         while hits:
             low = hits & -hits
             hits ^= low
             j = low.bit_length() // bits - 1
             bound = table >> bits * (j + 1) & mask
             kj = (pos >> bits * j & mask) - (rhs >> bits * j & mask) + bound
-            found.append((tuple(path), j, kj, bound))
+            found.append((at, j, kj, bound))
 
     def descend(depth: int, start: int, es: list, u: int, table: int, genus_sum: int) -> None:
         if depth == n:

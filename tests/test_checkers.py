@@ -195,6 +195,16 @@ class TestCheckBl:
         with pytest.raises(RuntimeError, match="direct minimization"):
             check_bl(CurveSpec(4, (A, A, A)))
 
+    def test_wrong_fold_table_raises(self, monkeypatch):
+        # the steepest table from the summed genus is a valid StepFunction
+        # (1-Lipschitz, zero at the end) but the wrong fold; the spec's fold,
+        # kept by test_three_cusps_degree_four, is gone by the autouse fixture
+        monkeypatch.setattr(
+            "gapkit.infconv._pair_table_unit", lambda va, vb: list(range(va[0] + vb[0], -1, -1))
+        )
+        with pytest.raises(RuntimeError, match="fold value"):
+            check_bl(CurveSpec(4, (A, A, A)))
+
 
 class TestCheckFlmn:
     def test_single_cusp_degree_three(self):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
+import os
 import shutil
 import subprocess
 import sys
@@ -514,6 +516,16 @@ class TestTopLevel:
         monkeypatch.setattr("gapkit.cli.search_violations", crash)
         code, _, err = run_cli(capsys, "search", "--n", "2", "--max-gap", "3", "--workers", "2")
         assert code == 3
+        assert err.startswith("internal error: ")
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork", reason="workers must inherit the patch"
+    )
+    def test_dead_worker_exits_three(self, capsys, monkeypatch):
+        # every worker inherits the patched scan and dies in its first unit
+        monkeypatch.setattr("gapkit.search._scan_unit", lambda *args: os._exit(1))
+        code, out, err = run_cli(capsys, "search", "--n", "2", "--max-gap", "3", "--workers", "2")
+        assert (code, out) == (3, "")
         assert err.startswith("internal error: ")
 
     def test_closed_stdout_exits_quietly(self):

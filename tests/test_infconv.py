@@ -16,7 +16,7 @@ from gapkit import (
     inf_conv_n,
     inf_conv_pair,
 )
-from gapkit.infconv import _min_table
+from gapkit.infconv import _as_step, _fold, _gap_step, _min_table, _pair_table_unit
 
 from conftest import gap_sets
 
@@ -142,6 +142,53 @@ class TestGeneralStepFunctions:
     @given(step_functions(max_len=6), step_functions(max_len=6), step_functions(max_len=6))
     def test_associative(self, f, g, h):
         assert inf_conv_pair(inf_conv_pair(f, g), h) == inf_conv_pair(f, inf_conv_pair(g, h))
+
+
+class TestFoldCache:
+    """inf_conv_n keeps one table per gap set and one fold per input prefix."""
+
+    WRAPS = (lambda g: g, GapFunction, StepFunction.from_gap_set)
+
+    @staticmethod
+    def uncached_fold(sets):
+        acc = GapFunction(sets[0]).table()
+        for g in sets[1:]:
+            acc = _pair_table_unit(acc, GapFunction(g).table())
+        return StepFunction(acc[0], tuple(acc))
+
+    @given(
+        st.lists(
+            st.tuples(gap_sets(max_element=9, max_size=5), st.sampled_from(WRAPS)),
+            min_size=1,
+            max_size=4,
+        ),
+        st.data(),
+    )
+    def test_matches_uncached_fold(self, items, data):
+        # inputs as GapSet, GapFunction or StepFunction; a cold first call,
+        # then a permuted order and both again, from the kept tables
+        _fold.cache_clear()
+        _gap_step.cache_clear()
+        identity = range(len(items))
+        permuted = data.draw(st.permutations(identity))
+        for order in (identity, permuted, identity, permuted):
+            inputs = [items[i][1](items[i][0]) for i in order]
+            assert inf_conv_n(inputs) == self.uncached_fold([items[i][0] for i in order])
+
+    def test_one_step_function_per_gap_set(self):
+        assert _as_step(C) is _as_step(GapFunction(C)) is _as_step(GapSet((1, 2, 5, 7)))
+
+    def test_prefix_fold_is_kept(self):
+        inf_conv_n([A, B, C])
+        hits = _fold.cache_info().hits
+        inf_conv_n([A, B, GapSet((2,))])
+        assert _fold.cache_info().hits == hits + 1
+
+    def test_other_inputs_raise_type_error_naming_the_types(self):
+        with pytest.raises(TypeError, match="expected GapSet, GapFunction, or StepFunction, got list"):
+            inf_conv_n([[1, 2]])
+        with pytest.raises(TypeError, match="expected GapSet, GapFunction, or StepFunction"):
+            inf_conv_pair(A, [1, 2])
 
 
 class TestInfConvEval:
