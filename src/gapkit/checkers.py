@@ -3,12 +3,11 @@
 Three checks share the report shape: the pairwise coefficient inequality
 k_j <= I(j+1), the degree-indexed convolution identity at the points jd+1
 ("bl"), and the two coefficient bound forms at the indices d(d-j-3) ("flmn").
-check_pair_inequality and check_bl compute the convolution twice, once from
-the pairwise table or the fold and once by the direct minimization of
-inf_conv_eval, and raise RuntimeError if the two disagree, since that can only
-mean an implementation bug, never a failing input.  The k-coefficients come
-from one route only, double synthetic division by (t-1), guarded by its two
-remainders (BadExpansion).  check_flmn has no second route for either side.
+k has one route, _k_sequence: double synthetic division by (t-1), guarded by
+its two remainders (BadExpansion).  check_pair_inequality and check_bl read
+the convolution through _checked, which compares the table or fold with the
+direct minimization of inf_conv_eval and raises RuntimeError on disagreement,
+an implementation bug, never a failing input.  check_flmn reads the fold alone.
 """
 
 from __future__ import annotations
@@ -17,10 +16,10 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Optional
 
-from .alexpoly import alexander_from_gaps, expand_k_sequence, poly_mul
+from .alexpoly import KSequence, alexander_from_gaps, expand_k_sequence, poly_mul
 from .errors import GenusMismatch
 from .gapset import GapSet, gap_function_eval
-from .infconv import inf_conv_eval, inf_conv_n, inf_conv_pair
+from .infconv import StepFunction, inf_conv_eval, inf_conv_n, inf_conv_pair
 
 __all__ = [
     "CurveSpec",
@@ -119,6 +118,23 @@ def _row(j: int, lhs: int, rhs: int, relation: str) -> CheckRow:
     return CheckRow(j, lhs, rhs, relation, lhs == rhs)
 
 
+def _k_sequence(cusps: tuple[GapSet, ...]) -> KSequence:
+    """The k-coefficients of the cusps' product polynomial."""
+    return expand_k_sequence(
+        reduce(poly_mul, map(alexander_from_gaps, cusps)), sum(c.genus for c in cusps)
+    )
+
+
+def _checked(conv: StepFunction, cusps: tuple[GapSet, ...], point: int) -> int:
+    """conv(point), once the direct minimization of inf_conv_eval agrees with it."""
+    value, direct = conv(point), inf_conv_eval(cusps, point)
+    if direct != value:
+        raise RuntimeError(
+            f"internal: direct minimization {direct} != fold value {value} at k={point}"
+        )
+    return value
+
+
 def _fail_witness(rows) -> Optional[dict]:
     for r in rows:
         if not r.satisfied:
@@ -169,20 +185,12 @@ def check_pair_inequality(G: GapSet, H: GapSet) -> CheckReport:
     contradict the inequality's proof for arbitrary finite sets, so it
     indicates an implementation bug; it is still reported faithfully.
     """
-    ks = expand_k_sequence(
-        poly_mul(alexander_from_gaps(G), alexander_from_gaps(H)), G.genus + H.genus
-    )
+    ks = _k_sequence((G, H))
     conv = inf_conv_pair(G, H)
-    rows = []
-    for j in range(G.max_gap + H.max_gap + 2):
-        rhs = conv(j + 1)
-        direct = inf_conv_eval((G, H), j + 1)
-        if direct != rhs:
-            raise RuntimeError(
-                f"internal: direct minimization {direct} != table value {rhs} at j={j}"
-            )
-        rows.append(_row(j, ks.at(j), rhs, "<="))
-    rows = tuple(rows)
+    rows = tuple(
+        _row(j, ks.at(j), _checked(conv, (G, H), j + 1), "<=")
+        for j in range(G.max_gap + H.max_gap + 2)
+    )
     return CheckReport.build("pair", rows, _fail_witness(rows))
 
 
@@ -190,16 +198,10 @@ def check_bl(spec: CurveSpec) -> CheckReport:
     """Compare the n-ary convolution at jd+1 with (j-d+1)(j-d+2)/2, j in [-1, d-2]."""
     validate_spec(spec)
     conv = inf_conv_n(spec.cusps)
-    rows = []
-    for j, point, target in bl_rows(spec.degree):
-        lhs = conv(point)
-        direct = inf_conv_eval(spec.cusps, point)
-        if direct != lhs:
-            raise RuntimeError(
-                f"internal: direct minimization {direct} != fold value {lhs} at k={point}"
-            )
-        rows.append(_row(j, lhs, target, "=="))
-    rows = tuple(rows)
+    rows = tuple(
+        _row(j, _checked(conv, spec.cusps, point), target, "==")
+        for j, point, target in bl_rows(spec.degree)
+    )
     return CheckReport.build("bl", rows, _fail_witness(rows))
 
 
@@ -209,13 +211,12 @@ def check_flmn(spec: CurveSpec) -> CheckReport:
     Two rows per index: the binomial bound (j+1)(j+2)/2, then the convolution
     bound I(d(d-j-3)+1).  For a single cusp the report's witness also records
     whether the binomial bound is attained with equality at every index.
-    Neither side is cross-checked: k comes from expand_k_sequence alone and
-    the convolution from the fold alone.
+    Neither side is cross-checked: k comes from _k_sequence alone and the
+    convolution from the fold alone.
     """
     validate_spec(spec)
     d = spec.degree
-    poly = reduce(poly_mul, (alexander_from_gaps(c) for c in spec.cusps))
-    ks = expand_k_sequence(poly, spec.total_genus)
+    ks = _k_sequence(spec.cusps)
     conv = inf_conv_n(spec.cusps)
     rows = []
     equal_all = True

@@ -214,8 +214,8 @@ def _cmd_search(args) -> int:
     last = None
     for violation in search_violations(config, checkpoint_path=args.checkpoint, workers=args.workers):
         found += 1
-        # the hits of one multiset share their cusps tuple, so its text is made once
-        if violation.cusps is not last:
+        # a multiset's hits come one after another, so its cusps text is made once
+        if violation.cusps != last:
             last = violation.cusps
             if args.json:
                 cusps = _cusps_json(last)

@@ -6,8 +6,9 @@ by 0 or 1), has slope -1 below 0, and vanishes beyond a finite cutoff, as gap
 functions and their convolutions do; StepFunction rejects any other table.
 
 The pairwise fold scans splits in [0, k], as the 1-Lipschitz property allows.
-It keeps one StepFunction per gap set and one fold per prefix of inputs, so
-calls on multisets that share a prefix share its table.
+It keeps one fold per prefix of inputs in one cache, a single gap set's
+StepFunction included, so calls on multisets that share a prefix share its
+table.
 The oracle inf_conv_eval reads the minimum M on [0, reach] off kept tables,
 by monotonicity alone, and takes M(k) = M(0) - k below 0: a split of k <= -1
 has an argument <= -1, and one of k + 1 <= 0 an argument <= 0, where each I_i
@@ -93,13 +94,7 @@ def _conv_input(x: ConvInput) -> Union[GapSet, StepFunction]:
 
 def _as_step(x: ConvInput) -> StepFunction:
     x = _conv_input(x)
-    return x if isinstance(x, StepFunction) else _gap_step(x)
-
-
-@lru_cache(maxsize=1024)
-def _gap_step(gap_set: GapSet) -> StepFunction:
-    """The gap set's table, built and validated once per gap set."""
-    return StepFunction.from_gap_set(gap_set)
+    return x if isinstance(x, StepFunction) else _fold((x,))
 
 
 def _as_gap_set(x: ConvInput) -> GapSet:
@@ -155,11 +150,13 @@ def inf_conv_n(gap_sets: Sequence[ConvInput]) -> StepFunction:
     return _fold(inputs)
 
 
+# One entry per prefix of inputs; a one-input prefix is that input's table.
 @lru_cache(maxsize=2048)
 def _fold(inputs: tuple[Union[GapSet, StepFunction], ...]) -> StepFunction:
-    if len(inputs) == 1:
-        return _as_step(inputs[0])
-    return inf_conv_pair(_fold(inputs[:-1]), inputs[-1])
+    if len(inputs) > 1:
+        return inf_conv_pair(_fold(inputs[:-1]), inputs[-1])
+    x = inputs[0]
+    return x if isinstance(x, StepFunction) else StepFunction.from_gap_set(x)
 
 
 def inf_conv_eval(gap_sets: Sequence[ConvInput], k: int) -> int:

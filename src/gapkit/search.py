@@ -114,15 +114,13 @@ class Violation:
         for g in cusps:
             if not isinstance(g, GapSet):
                 raise ValueError(f"cusps must be GapSet values, got {type(g).__name__}")
-        ordered = tuple(sorted(cusps, key=lambda g: (g.genus, g.elements)))
         if not (_is_int(self.j) and _is_int(self.k) and _is_int(self.bound)):
             raise ValueError(
                 f"j, k and bound must be integers, got {self.j!r}, {self.k!r}, {self.bound!r}"
             )
         if self.k <= self.bound:
             raise ValueError(f"not a violation: k = {self.k} <= bound = {self.bound}")
-        # keep the tuple given when it is in order, so hits can share one
-        object.__setattr__(self, "cusps", cusps if ordered == cusps else ordered)
+        object.__setattr__(self, "cusps", tuple(sorted(cusps, key=lambda g: (g.genus, g.elements))))
 
     def to_json_dict(self) -> dict:
         return {
@@ -223,6 +221,8 @@ def search_violations(
 
     unit_violations = partial(_unit_violations, pool, _prep_pool(pool, config.n), config.require_bl)
     tasks = [(i, done.get(i)) for i in units]
+    # a pool forks every worker at the first submit, so start no more than there are units
+    workers = min(workers, len(tasks))
     executor = None
     try:
         if workers > 1:
@@ -242,7 +242,8 @@ def search_violations(
             yield from violations
     finally:
         if executor is not None:
-            executor.shutdown(wait=False, cancel_futures=True)
+            # waiting lets the pool's manager thread end before the interpreter does
+            executor.shutdown(wait=True, cancel_futures=True)
         if out_file is not None:
             out_file.close()
 
@@ -279,16 +280,10 @@ def _unit_violations(pool: tuple, layout: _Layout, require_bl: Optional[int], ta
     """
     unit, violations = task
     if violations is None:
-        violations = []
-        path = cusps = None
-        # the hits of one multiset share one path, and so one sorted cusps tuple
-        for at, j, k, bound in _scan_unit(layout, unit, require_bl):
-            if at is not path:
-                path = at
-                cusps = tuple(pool[x] for x in path)
-            violation = Violation(cusps, j, k, bound)
-            cusps = violation.cusps
-            violations.append(violation)
+        violations = [
+            Violation(tuple(pool[x] for x in at), j, k, bound)
+            for at, j, k, bound in _scan_unit(layout, unit, require_bl)
+        ]
     for violation in violations:
         if not verify_violation(violation):
             raise RuntimeError(f"internal: violation failed oracle re-verification: {violation}")
@@ -486,8 +481,8 @@ def _load_checkpoint(path: str, fingerprint: dict, units: range) -> tuple[dict[i
     this configuration's header nor a torn piece of it means a foreign file,
     and a whole line that does not load as a record of a new unit of this run
     (not JSON, no unit, a unit that is not an int of `units` or that is
-    already recorded, a violation without cusps) a damaged one; both raise
-    ConfigInvalid.  A missing file has no intact part.
+    already recorded, no list of violations, a violation without cusps) a
+    damaged one; both raise ConfigInvalid.  A missing file has no intact part.
     """
     done: dict[int, list[Violation]] = {}
     header = _json_line({"config": fingerprint}).encode()
@@ -511,7 +506,10 @@ def _load_checkpoint(path: str, fingerprint: dict, units: range) -> tuple[dict[i
                 # 0.0 and False would replay unit 0, and a repeat would replace it
                 if not _is_int(unit) or unit not in units or unit in done:
                     raise ValueError(f"unit {unit!r} is not a new unit of this run")
-                done[unit] = [Violation.from_json_dict(d) for d in record.get("violations", [])]
+                violations = record["violations"]
+                if not isinstance(violations, list):
+                    raise ValueError(f"violations {violations!r} is not a list")
+                done[unit] = [Violation.from_json_dict(d) for d in violations]
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigInvalid(
                     f"checkpoint {path} has a malformed record after byte {intact}: {exc!r}"

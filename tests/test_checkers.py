@@ -204,6 +204,8 @@ class TestCheckBl:
         )
         with pytest.raises(RuntimeError, match="fold value"):
             check_bl(CurveSpec(4, (A, A, A)))
+        with pytest.raises(RuntimeError, match="fold value"):
+            check_pair_inequality(A, B)
 
 
 class TestCheckFlmn:

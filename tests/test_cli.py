@@ -539,6 +539,18 @@ class TestTopLevel:
             assert proc.wait(timeout=60) == 141, workers
             assert err == b"", workers
 
+    def test_resumed_workers_exit_quietly(self, tmp_path):
+        # a completed checkpoint replayed by two workers, 15 times: a pool still
+        # shutting down at exit writes a traceback to stderr in only some runs
+        argv = [sys.executable, "-m", "gapkit.cli", "search", "--n", "3", "--max-gap", "5", "--json"]
+        argv += ["--checkpoint", str(tmp_path / "ck.jsonl")]
+        first = subprocess.run(argv, capture_output=True, timeout=60)
+        assert (first.returncode, first.stderr) == (1, b"")
+        resume = argv + ["--workers", "2"]
+        runs = [subprocess.run(resume, capture_output=True, timeout=60) for _ in range(15)]
+        failed = [r for r in runs if (r.returncode, r.stderr, r.stdout) != (1, b"", first.stdout)]
+        assert not failed, f"{len(failed)} of 15 runs: {failed[0].stderr.decode()}"
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "gapkit.cli", "expand", "1,-2,3,-2,1", "2"],

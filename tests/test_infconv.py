@@ -16,7 +16,7 @@ from gapkit import (
     inf_conv_n,
     inf_conv_pair,
 )
-from gapkit.infconv import _as_step, _fold, _gap_step, _min_table, _pair_table_unit
+from gapkit.infconv import _as_step, _fold, _min_table, _pair_table_unit
 
 from conftest import gap_sets
 
@@ -168,7 +168,6 @@ class TestFoldCache:
         # inputs as GapSet, GapFunction or StepFunction; a cold first call,
         # then a permuted order and both again, from the kept tables
         _fold.cache_clear()
-        _gap_step.cache_clear()
         identity = range(len(items))
         permuted = data.draw(st.permutations(identity))
         for order in (identity, permuted, identity, permuted):

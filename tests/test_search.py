@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from concurrent.futures import ThreadPoolExecutor
 from functools import reduce
 from itertools import combinations_with_replacement
 
@@ -197,6 +198,22 @@ class TestSearchViolations:
         config = SearchConfig(n=3, pool=TRIPLE_POOL)
         assert run(config, workers=2) == run(config)
 
+    @pytest.mark.parametrize(
+        "pool, started", [((A,), []), (TRIPLE_POOL, [3])], ids=["one-unit", "three-units"]
+    )
+    def test_no_more_processes_than_units(self, monkeypatch, pool, started):
+        # the spy runs the units on threads, so the test starts no process
+        sizes = []
+
+        def spy(max_workers):
+            sizes.append(max_workers)
+            return ThreadPoolExecutor(max_workers)
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", spy)
+        config = SearchConfig(n=3, pool=pool)
+        assert run(config, workers=4) == run(config)
+        assert sizes == started
+
     @pytest.mark.parametrize("workers", [0, True])
     def test_invalid_workers_rejected_before_checkpoint_opens(self, tmp_path, workers):
         path = tmp_path / "ck.jsonl"
@@ -305,7 +322,8 @@ class TestCheckpoint:
         path = str(tmp_path / "ck.jsonl")
         reference = run(self.CONFIG)
         assert run(self.CONFIG, checkpoint_path=path) == reference
-        lines = [json.loads(l) for l in open(path, encoding="utf-8")]
+        with open(path, encoding="utf-8") as fh:
+            lines = [json.loads(l) for l in fh]
         assert "config" in lines[0]
         assert lines[0]["config"]["n"] == 3
         assert [l["unit"] for l in lines[1:]] == [0, 1, 2]
@@ -388,6 +406,9 @@ class TestCheckpoint:
             '{"unit": false, "violations": []}',
             '{"unit": 3, "violations": []}',
             '{"unit": 0, "violations": []}\n{"unit": 0, "violations": []}',
+            # a record whose hits are missing or not a list
+            '{"unit": 0}',
+            '{"unit": 0, "violations": {}}',
         ],
     )
     def test_malformed_record_is_rejected_and_left_alone(self, tmp_path, record):
