@@ -13,7 +13,7 @@ from itertools import accumulate
 from typing import Sequence
 
 from .errors import BadExpansion, NotGapForm
-from .gapset import GapSet
+from .gapset import GapSet, _is_int
 
 __all__ = [
     "IntPolynomial",
@@ -32,7 +32,7 @@ def _trimmed_ints(values, what: str) -> tuple:
     # one set test for the common all-int case; the loop names the offender
     if {*map(type, values)} - {int}:
         for v in values:
-            if not isinstance(v, int) or isinstance(v, bool):
+            if not _is_int(v):
                 raise ValueError(f"{what} must be integers, got {v!r}")
     end = len(values)
     while end and values[end - 1] == 0:
@@ -84,7 +84,7 @@ class KSequence:
     ks: tuple[int, ...]
 
     def __post_init__(self):
-        if not isinstance(self.genus, int) or isinstance(self.genus, bool) or self.genus < 0:
+        if not _is_int(self.genus) or self.genus < 0:
             raise ValueError(f"genus must be a nonnegative integer, got {self.genus!r}")
         object.__setattr__(self, "ks", _trimmed_ints(self.ks, "k-coefficients"))
 
@@ -158,7 +158,7 @@ def expand_k_sequence(poly: IntPolynomial, claimed_genus: int) -> KSequence:
     must vanish, otherwise P(1) != 1 or P'(1) != claimed_genus and BadExpansion
     is raised.
     """
-    if not isinstance(claimed_genus, int) or isinstance(claimed_genus, bool) or claimed_genus < 0:
+    if not _is_int(claimed_genus) or claimed_genus < 0:
         raise ValueError(f"claimed genus must be a nonnegative integer, got {claimed_genus!r}")
     coeffs = list(poly.coefficients)
     while len(coeffs) < 2:

@@ -18,7 +18,7 @@ from typing import Optional
 
 from .alexpoly import KSequence, alexander_from_gaps, expand_k_sequence, poly_mul
 from .errors import GenusMismatch
-from .gapset import GapSet, gap_function_eval
+from .gapset import GapSet, _is_int, gap_function_eval
 from .infconv import StepFunction, inf_conv_eval, inf_conv_n, inf_conv_pair
 
 __all__ = [
@@ -43,7 +43,7 @@ class CurveSpec:
     cusps: tuple[GapSet, ...]
 
     def __post_init__(self):
-        if not isinstance(self.degree, int) or isinstance(self.degree, bool) or self.degree < 3:
+        if not _is_int(self.degree) or self.degree < 3:
             raise ValueError(f"degree must be an integer >= 3, got {self.degree!r}")
         cusps = tuple(self.cusps)
         if not cusps:

@@ -18,6 +18,10 @@ __all__ = [
 ]
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class GapSet:
     """Finite set of distinct positive integers, stored sorted ascending.
@@ -32,7 +36,7 @@ class GapSet:
         elems = tuple(sorted(self.elements))
         mask = 0
         for g in elems:
-            if not isinstance(g, int) or isinstance(g, bool) or g < 1:
+            if not _is_int(g) or g < 1:
                 raise ValueError(f"gap elements must be positive integers, got {g!r}")
             if (mask >> g) & 1:
                 raise ValueError(f"duplicate gap element {g}")
@@ -96,7 +100,7 @@ def gaps_from_generators(generators: Iterable[int]) -> GapSet:
     if not gens:
         raise ValueError("at least one generator required")
     for g in gens:
-        if not isinstance(g, int) or isinstance(g, bool) or g < 1:
+        if not _is_int(g) or g < 1:
             raise ValueError(f"generators must be positive integers, got {g!r}")
     if reduce(gcd, gens) != 1:
         raise NotNumerical(

@@ -24,7 +24,7 @@ from functools import lru_cache
 from operator import add
 from typing import Sequence, Union
 
-from .gapset import GapFunction, GapSet, gap_function_eval
+from .gapset import GapFunction, GapSet, _is_int, gap_function_eval
 
 __all__ = ["StepFunction", "inf_conv_eval", "inf_conv_pair", "inf_conv_n"]
 
@@ -43,11 +43,13 @@ class StepFunction:
     values: tuple[int, ...]
 
     def __post_init__(self):
+        if not _is_int(self.genus):
+            raise ValueError(f"genus must be an integer, got {self.genus!r}")
         values = tuple(self.values)
         if not values:
             raise ValueError("values must be nonempty")
         for v in values:
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+            if not _is_int(v) or v < 0:
                 raise ValueError(f"values must be nonnegative integers, got {v!r}")
         if values[0] != self.genus:
             raise ValueError(f"values[0] = {values[0]} must equal genus {self.genus}")

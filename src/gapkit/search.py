@@ -12,9 +12,9 @@ k_0 and I(1) always agree; that identity is asserted per multiset rather than
 assumed.
 
 Work units are keyed by the first pool index of the multiset, which makes
-sharding deterministic and lets a checkpoint file record completed units as
-append-only JSON lines.  Whichever process runs a unit scans or replays it and
-re-verifies its hits there; the parent only records verified units and yields.
+sharding deterministic and lets a checkpoint file record each completed unit's
+hit count as an append-only JSON line.  Whichever process runs a unit scans it and
+re-verifies its hits there; the parent only records or checks counts and yields.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 from .alexpoly import IntPolynomial, KSequence, alexander_from_gaps, expand_k_sequence, poly_mul
 from .checkers import bl_genus, bl_rows
 from .errors import ConfigInvalid
-from .gapset import GapFunction, GapSet, is_semigroup_complement
+from .gapset import GapFunction, GapSet, _is_int, is_semigroup_complement
 from .infconv import inf_conv_eval
 
 __all__ = [
@@ -196,11 +196,11 @@ def search_violations(
 ) -> Iterator[Violation]:
     """Scan all multisets of the pool and yield violations in pool order.
 
-    With a checkpoint path, completed work units are replayed from the file
-    instead of recomputed, and newly finished units are appended to it, so an
-    interrupted run resumes where it stopped and reproduces the same stream.
-    Workers scan, build and re-verify their own units, replayed ones included;
-    they change only the wall time, never the output.
+    With a checkpoint path, each finished unit's hit count is appended to the
+    file, and a resumed run skips the units recorded with no hits and scans the
+    rest again; a new count that differs from its record raises RuntimeError
+    before any hit of that unit is yielded.  Workers scan, build and re-verify
+    their own units; they change only the wall time, never the output.
     """
     if not _is_int(workers) or workers < 1:
         raise ConfigInvalid(f"workers must be at least 1, got {workers!r}")
@@ -208,7 +208,7 @@ def search_violations(
     shard_index, shard_count = config.shard
     units = range(shard_index, len(pool), shard_count)
 
-    done: dict[int, list[Violation]] = {}
+    done: dict[int, int] = {}
     out_file = None
     if checkpoint_path is not None:
         done, intact = _load_checkpoint(checkpoint_path, _config_fingerprint(config), units)
@@ -220,24 +220,26 @@ def search_violations(
             out_file.flush()
 
     unit_violations = partial(_unit_violations, pool, _prep_pool(pool, config.n), config.require_bl)
-    tasks = [(i, done.get(i)) for i in units]
+    # a record is trusted for one thing only: that its unit had no hits
+    todo = [i for i in units if done.get(i) != 0]
     # a pool forks every worker at the first submit, so start no more than there are units
-    workers = min(workers, len(tasks))
+    workers = min(workers, len(todo))
     executor = None
     try:
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
 
             executor = ProcessPoolExecutor(max_workers=workers)
-            results = _in_order(executor, unit_violations, tasks, _UNITS_PER_WORKER * workers)
+            results = _in_order(executor, unit_violations, todo, _UNITS_PER_WORKER * workers)
         else:
-            results = map(unit_violations, tasks)
+            results = map(unit_violations, todo)
 
-        for (i, recorded), violations in zip(tasks, results):
-            if out_file is not None and recorded is None:
-                out_file.write(
-                    _json_line({"unit": i, "violations": [v.to_json_dict() for v in violations]})
-                )
+        for i, violations in zip(todo, results):
+            if i in done:
+                if len(violations) != done[i]:
+                    raise RuntimeError(f"internal: unit {i} has {len(violations)} hits, recorded {done[i]}")
+            elif out_file is not None:
+                out_file.write(_json_line({"hits": len(violations), "unit": i}))
                 out_file.flush()
             yield from violations
     finally:
@@ -273,17 +275,12 @@ def _resolved_pool(config: SearchConfig) -> tuple[GapSet, ...]:
     )
 
 
-def _unit_violations(pool: tuple, layout: _Layout, require_bl: Optional[int], task: tuple) -> list:
-    """The violations of task = (unit, recorded), each re-verified in the process running it.
-
-    The unit is scanned when recorded is None; a recorded list, even [], is replayed.
-    """
-    unit, violations = task
-    if violations is None:
-        violations = [
-            Violation(tuple(pool[x] for x in at), j, k, bound)
-            for at, j, k, bound in _scan_unit(layout, unit, require_bl)
-        ]
+def _unit_violations(pool: tuple, layout: _Layout, require_bl: Optional[int], unit: int) -> list:
+    """The violations of a unit, scanned, built and re-verified in the process running it."""
+    violations = [
+        Violation(tuple(pool[x] for x in at), j, k, bound)
+        for at, j, k, bound in _scan_unit(layout, unit, require_bl)
+    ]
     for violation in violations:
         if not verify_violation(violation):
             raise RuntimeError(f"internal: violation failed oracle re-verification: {violation}")
@@ -473,18 +470,19 @@ def _json_line(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _load_checkpoint(path: str, fingerprint: dict, units: range) -> tuple[dict[int, list[Violation]], int]:
-    """Units recorded in the checkpoint, and the byte length of its intact part.
+def _load_checkpoint(path: str, fingerprint: dict, units: range) -> tuple[dict[int, int], int]:
+    """The hit count of each unit the checkpoint records, and the byte length of its intact part.
 
     Only the last line can be torn by an interrupted run, so a final line with
     no newline is left out of the intact part.  A first line that is neither
     this configuration's header nor a torn piece of it means a foreign file,
     and a whole line that does not load as a record of a new unit of this run
     (not JSON, no unit, a unit that is not an int of `units` or that is
-    already recorded, no list of violations, a violation without cusps) a
-    damaged one; both raise ConfigInvalid.  A missing file has no intact part.
+    already recorded, hits that are missing or not an int >= 0, as in a file
+    written before records held counts) a damaged one; both raise
+    ConfigInvalid.  A missing file has no intact part.
     """
-    done: dict[int, list[Violation]] = {}
+    done: dict[int, int] = {}
     header = _json_line({"config": fingerprint}).encode()
     try:
         fh = open(path, "rb")
@@ -502,22 +500,18 @@ def _load_checkpoint(path: str, fingerprint: dict, units: range) -> tuple[dict[i
                 break
             try:
                 record = json.loads(line)
-                unit = record["unit"]
-                # 0.0 and False would replay unit 0, and a repeat would replace it
+                unit, hits = record["unit"], record["hits"]
+                # 0.0 and False would stand for unit 0, and a repeat would replace it
                 if not _is_int(unit) or unit not in units or unit in done:
                     raise ValueError(f"unit {unit!r} is not a new unit of this run")
-                violations = record["violations"]
-                if not isinstance(violations, list):
-                    raise ValueError(f"violations {violations!r} is not a list")
-                done[unit] = [Violation.from_json_dict(d) for d in violations]
+                # a float or a bool compares equal to the count it would skip
+                if not _is_int(hits) or hits < 0:
+                    raise ValueError(f"hits {hits!r} is not a count")
+                done[unit] = hits
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigInvalid(
                     f"checkpoint {path} has a malformed record after byte {intact}: {exc!r}"
                 ) from None
             intact += len(line)
     return done, intact
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 

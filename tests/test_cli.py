@@ -298,9 +298,9 @@ class TestSearch:
         assert run_cli(capsys, *args)[0] == 1
         lines = path.read_bytes().splitlines(keepends=True)
         record = json.loads(lines[1])
-        assert record["violations"][0] == {"cusps": [[1], [1], [1]], "j": 2, "k": 3, "bound": 2}
-        # still a well-formed violation (k > bound), but not the true k_2
-        record["violations"][0]["k"] = 4
+        assert record == {"hits": 15, "unit": 0}
+        # still a well-formed record, but not the count a rescan of unit 0 gives
+        record["hits"] = 14
         lines[1] = (json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n").encode()
         data = b"".join(lines)
         path.write_bytes(data)
@@ -540,7 +540,7 @@ class TestTopLevel:
             assert err == b"", workers
 
     def test_resumed_workers_exit_quietly(self, tmp_path):
-        # a completed checkpoint replayed by two workers, 15 times: a pool still
+        # a completed checkpoint resumed by two workers, 15 times: a pool still
         # shutting down at exit writes a traceback to stderr in only some runs
         argv = [sys.executable, "-m", "gapkit.cli", "search", "--n", "3", "--max-gap", "5", "--json"]
         argv += ["--checkpoint", str(tmp_path / "ck.jsonl")]

@@ -60,6 +60,9 @@ class TestStepFunction:
             (0, ()),  # empty
             (1, (1, 0.0)),  # non-integer
             (2, (2, 0)),  # a step down by 2
+            # a bool or a float genus compares and hashes equal to the int
+            (True, (1, 0)),
+            (1.0, (1, 0)),
         ],
     )
     def test_validation(self, genus, values):

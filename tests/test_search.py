@@ -35,6 +35,9 @@ B = GapSet((1, 3))
 C = GapSet((1, 2, 5, 7))
 
 TRIPLE_POOL = (A, B, C)
+# unit 0 starts at the empty set, so its multisets are pairs in effect and have no hits;
+# units 1-3 have 15, 12 and 5
+SPARSE_CONFIG = SearchConfig(n=3, pool=(GapSet(()), A, B, C))
 
 
 def violation_key(v):
@@ -315,6 +318,20 @@ def passes_bl(degree, cusps):
         return False
 
 
+@pytest.fixture
+def scanned(monkeypatch):
+    """The first pool index of every unit scanned from here on, in order."""
+    firsts = []
+    scan_unit = search._scan_unit
+
+    def spy(layout, first, require_bl):
+        firsts.append(first)
+        return scan_unit(layout, first, require_bl)
+
+    monkeypatch.setattr("gapkit.search._scan_unit", spy)
+    return firsts
+
+
 class TestCheckpoint:
     CONFIG = SearchConfig(n=3, pool=TRIPLE_POOL)
 
@@ -326,17 +343,28 @@ class TestCheckpoint:
             lines = [json.loads(l) for l in fh]
         assert "config" in lines[0]
         assert lines[0]["config"]["n"] == 3
-        assert [l["unit"] for l in lines[1:]] == [0, 1, 2]
+        assert lines[1:] == [{"hits": 15, "unit": 0}, {"hits": 12, "unit": 1}, {"hits": 5, "unit": 2}]
 
     def test_completed_run_replays_without_recompute(self, tmp_path, monkeypatch):
+        # every unit of the pairs has no hits, so a resume scans none of them
+        config = SearchConfig(n=2, pool=TRIPLE_POOL)
         path = str(tmp_path / "ck.jsonl")
-        reference = run(self.CONFIG, checkpoint_path=path)
+        assert run(config, checkpoint_path=path) == []
 
         def boom(*args, **kwargs):
             raise AssertionError("unit was recomputed despite checkpoint")
 
         monkeypatch.setattr("gapkit.search._scan_unit", boom)
-        assert run(self.CONFIG, checkpoint_path=path) == reference
+        assert run(config, checkpoint_path=path) == []
+
+    def test_resume_scans_only_units_with_hits(self, tmp_path, scanned):
+        path = str(tmp_path / "ck.jsonl")
+        reference = run(SPARSE_CONFIG)
+        assert [len([v for v in reference if v.cusps[0] == g]) for g in (A, B, C)] == [15, 12, 5]
+        assert run(SPARSE_CONFIG, checkpoint_path=path) == reference
+        scanned.clear()
+        assert run(SPARSE_CONFIG, checkpoint_path=path) == reference
+        assert scanned == [1, 2, 3]
 
     def test_record_is_written_only_after_its_hits_verify(self, tmp_path, monkeypatch):
         path = tmp_path / "ck.jsonl"
@@ -369,20 +397,18 @@ class TestCheckpoint:
             fh.write('{"unit": 99, "violations"')
         assert run(self.CONFIG, checkpoint_path=path) == reference
 
-    def test_torn_append_is_dropped_before_resuming(self, tmp_path, monkeypatch):
+    def test_torn_append_is_dropped_before_resuming(self, tmp_path, scanned):
         path = tmp_path / "ck.jsonl"
-        reference = run(self.CONFIG, checkpoint_path=str(path))
+        reference = run(SPARSE_CONFIG, checkpoint_path=str(path))
         data = path.read_bytes()
         last_start = data.rstrip(b"\n").rfind(b"\n") + 1
         path.write_bytes(data[: last_start + 10])  # the last unit's record, torn
-        assert run(self.CONFIG, checkpoint_path=str(path)) == reference
+        assert run(SPARSE_CONFIG, checkpoint_path=str(path)) == reference
         assert path.read_bytes() == data
 
-        def boom(*args, **kwargs):
-            raise AssertionError("unit was recomputed despite checkpoint")
-
-        monkeypatch.setattr("gapkit.search._scan_unit", boom)
-        assert run(self.CONFIG, checkpoint_path=str(path)) == reference
+        scanned.clear()
+        assert run(SPARSE_CONFIG, checkpoint_path=str(path)) == reference
+        assert scanned == [1, 2, 3]
 
     def test_foreign_file_is_left_alone(self, tmp_path):
         path = tmp_path / "notes.txt"
@@ -394,6 +420,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize(
         "record",
         [
+            # records in the layout written before records held counts lack hits, whatever else is wrong
             '{"unit": 0, "violations": [{"j": 1}]}',
             "5",
             "garbled}",
@@ -409,6 +436,18 @@ class TestCheckpoint:
             # a record whose hits are missing or not a list
             '{"unit": 0}',
             '{"unit": 0, "violations": {}}',
+            # a count that is not an int >= 0: a float or a bool compares equal to one
+            '{"hits": 1.0, "unit": 0}',
+            '{"hits": true, "unit": 0}',
+            '{"hits": -1, "unit": 0}',
+            '{"hits": "15", "unit": 0}',
+            '{"hits": null, "unit": 0}',
+            # the unit checks above, on records that carry a count
+            '{"hits": 0}',
+            '{"hits": 0, "unit": 0.0}',
+            '{"hits": 0, "unit": false}',
+            '{"hits": 0, "unit": 3}',
+            '{"hits": 15, "unit": 0}\n{"hits": 15, "unit": 0}',
         ],
     )
     def test_malformed_record_is_rejected_and_left_alone(self, tmp_path, record):
@@ -420,3 +459,9 @@ class TestCheckpoint:
         with pytest.raises(ConfigInvalid, match="malformed record"):
             run(self.CONFIG, checkpoint_path=str(path))
         assert path.read_bytes() == data
+
+    def test_checkpoint_of_a_dense_run_is_small(self, tmp_path):
+        # one short record per unit: 5,915 hits in 32 units
+        path = tmp_path / "ck.jsonl"
+        assert len(run(SearchConfig(n=3, max_gap_bound=5), checkpoint_path=str(path))) == 5915
+        assert path.stat().st_size < 2048
