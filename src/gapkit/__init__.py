@@ -34,7 +34,7 @@ from .gapset import (
     gaps_from_generators,
     is_semigroup_complement,
 )
-from .infconv import StepFunction, inf_conv_eval, inf_conv_n, inf_conv_pair
+from .infconv import StepFunction, inf_conv_eval, inf_conv_n, inf_conv_pair, inf_conv_table
 from .search import (
     SearchConfig,
     Violation,
@@ -60,6 +60,7 @@ __all__ = [
     "expand_k_sequence",
     "StepFunction",
     "inf_conv_eval",
+    "inf_conv_table",
     "inf_conv_pair",
     "inf_conv_n",
     "CurveSpec",

@@ -4,22 +4,23 @@ Three checks share the report shape: the pairwise coefficient inequality
 k_j <= I(j+1), the degree-indexed convolution identity at the points jd+1
 ("bl"), and the two coefficient bound forms at the indices d(d-j-3) ("flmn").
 k has one route, _k_sequence: double synthetic division by (t-1), guarded by
-its two remainders (BadExpansion).  check_pair_inequality and check_bl read
-the convolution through _checked, which compares the table or fold with the
-direct minimization of inf_conv_eval and raises RuntimeError on disagreement,
-an implementation bug, never a failing input.  check_flmn reads the fold alone.
+its two remainders (BadExpansion).  Each check reads its convolution through
+_checked, which compares the table or fold with the oracle's direct
+minimization (inf_conv_table) at every point and raises RuntimeError on
+disagreement, an implementation bug, never a failing input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .alexpoly import KSequence, alexander_from_gaps, expand_k_sequence, poly_mul
 from .errors import GenusMismatch
 from .gapset import GapSet, _is_int, gap_function_eval
-from .infconv import StepFunction, inf_conv_eval, inf_conv_n, inf_conv_pair
+from .infconv import StepFunction, inf_conv_n, inf_conv_pair, inf_conv_table
+from .infconv import inf_conv_eval  # noqa: F401  (kept as a span site for bench/spans.py)
 
 __all__ = [
     "CurveSpec",
@@ -58,8 +59,7 @@ class CurveSpec:
         return sum(c.genus for c in self.cusps)
 
 
-@dataclass(frozen=True)
-class CheckRow:
+class CheckRow(NamedTuple):
     """One compared index: lhs relation rhs, with an exact-equality flag."""
 
     j: int
@@ -125,14 +125,21 @@ def _k_sequence(cusps: tuple[GapSet, ...]) -> KSequence:
     )
 
 
-def _checked(conv: StepFunction, cusps: tuple[GapSet, ...], point: int) -> int:
-    """conv(point), once the direct minimization of inf_conv_eval agrees with it."""
-    value, direct = conv(point), inf_conv_eval(cusps, point)
-    if direct != value:
+def _checked(conv: StepFunction, cusps: tuple[GapSet, ...]) -> StepFunction:
+    """conv, once the oracle's table for the cusps equals its values at every point.
+
+    Both are 0 past their end.  Below 0 both routes take the value at 0 plus the
+    distance below 0, so agreeing on [0, reach] they agree at every point.
+    """
+    values, direct = conv.values, inf_conv_table(cusps)
+    values += (0,) * (len(direct) - len(values))
+    direct += (0,) * (len(values) - len(direct))
+    if values != direct:
+        k = next(k for k, (v, d) in enumerate(zip(values, direct)) if v != d)
         raise RuntimeError(
-            f"internal: direct minimization {direct} != fold value {value} at k={point}"
+            f"internal: direct minimization {direct[k]} != fold value {values[k]} at k={k}"
         )
-    return value
+    return conv
 
 
 def _fail_witness(rows) -> Optional[dict]:
@@ -180,28 +187,22 @@ def product_k_closed_form(G: GapSet, H: GapSet, j: int) -> int:
 def check_pair_inequality(G: GapSet, H: GapSet) -> CheckReport:
     """Check k_j <= (I_G <> I_H)(j+1) for j up to max(G) + max(H) + 1.
 
-    The right side is computed twice: from the pairwise convolution table and
-    by the direct minimization of inf_conv_eval.  A fail verdict would
-    contradict the inequality's proof for arbitrary finite sets, so it
-    indicates an implementation bug; it is still reported faithfully.
+    The right side is computed twice, from the pairwise convolution table and
+    by the oracle's direct minimization, and compared at every point.  A fail
+    verdict would contradict the inequality's proof for arbitrary finite sets,
+    so it indicates an implementation bug; it is still reported faithfully.
     """
     ks = _k_sequence((G, H))
-    conv = inf_conv_pair(G, H)
-    rows = tuple(
-        _row(j, ks.at(j), _checked(conv, (G, H), j + 1), "<=")
-        for j in range(G.max_gap + H.max_gap + 2)
-    )
+    conv = _checked(inf_conv_pair(G, H), (G, H))
+    rows = tuple(_row(j, ks.at(j), conv(j + 1), "<=") for j in range(G.max_gap + H.max_gap + 2))
     return CheckReport.build("pair", rows, _fail_witness(rows))
 
 
 def check_bl(spec: CurveSpec) -> CheckReport:
     """Compare the n-ary convolution at jd+1 with (j-d+1)(j-d+2)/2, j in [-1, d-2]."""
     validate_spec(spec)
-    conv = inf_conv_n(spec.cusps)
-    rows = tuple(
-        _row(j, _checked(conv, spec.cusps, point), target, "==")
-        for j, point, target in bl_rows(spec.degree)
-    )
+    conv = _checked(inf_conv_n(spec.cusps), spec.cusps)
+    rows = tuple(_row(j, conv(point), target, "==") for j, point, target in bl_rows(spec.degree))
     return CheckReport.build("bl", rows, _fail_witness(rows))
 
 
@@ -211,13 +212,13 @@ def check_flmn(spec: CurveSpec) -> CheckReport:
     Two rows per index: the binomial bound (j+1)(j+2)/2, then the convolution
     bound I(d(d-j-3)+1).  For a single cusp the report's witness also records
     whether the binomial bound is attained with equality at every index.
-    Neither side is cross-checked: k comes from _k_sequence alone and the
-    convolution from the fold alone.
+    k comes from _k_sequence alone; the convolution is the fold, compared with
+    the oracle at every point.
     """
     validate_spec(spec)
     d = spec.degree
     ks = _k_sequence(spec.cusps)
-    conv = inf_conv_n(spec.cusps)
+    conv = _checked(inf_conv_n(spec.cusps), spec.cusps)
     rows = []
     equal_all = True
     for j in range(d - 2):

@@ -9,8 +9,9 @@ The pairwise fold scans splits in [0, k], as the 1-Lipschitz property allows.
 It keeps one fold per prefix of inputs in one cache, a single gap set's
 StepFunction included, so calls on multisets that share a prefix share its
 table.
-The oracle inf_conv_eval reads the minimum M on [0, reach] off kept tables,
-by monotonicity alone, and takes M(k) = M(0) - k below 0: a split of k <= -1
+The oracle finds the minimum M on [0, reach] off kept tables, by monotonicity
+alone: inf_conv_table returns M on all of [0, reach] and inf_conv_eval one
+point of it, taking M(k) = M(0) - k below 0: a split of k <= -1
 has an argument <= -1, and one of k + 1 <= 0 an argument <= 0, where each I_i
 is genus - m, so moving that argument by one changes the sum by exactly 1.
 The two routes keep their tables apart and share no arithmetic, so comparing
@@ -21,12 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add
+from operator import add, sub
 from typing import Sequence, Union
 
 from .gapset import GapFunction, GapSet, _is_int, gap_function_eval
 
-__all__ = ["StepFunction", "inf_conv_eval", "inf_conv_pair", "inf_conv_n"]
+__all__ = ["StepFunction", "inf_conv_eval", "inf_conv_table", "inf_conv_pair", "inf_conv_n"]
 
 
 @dataclass(frozen=True)
@@ -48,16 +49,19 @@ class StepFunction:
         values = tuple(self.values)
         if not values:
             raise ValueError("values must be nonempty")
-        for v in values:
-            if not _is_int(v) or v < 0:
-                raise ValueError(f"values must be nonnegative integers, got {v!r}")
+        # set tests for the common valid table; the loops name the offender
+        if {*map(type, values)} - {int} or min(values) < 0:
+            for v in values:
+                if not _is_int(v) or v < 0:
+                    raise ValueError(f"values must be nonnegative integers, got {v!r}")
         if values[0] != self.genus:
             raise ValueError(f"values[0] = {values[0]} must equal genus {self.genus}")
         if values[-1] != 0:
             raise ValueError("values must end at 0")
-        for i in range(len(values) - 1):
-            if not 0 <= values[i] - values[i + 1] <= 1:
-                raise ValueError(f"each step must fall by 0 or 1, not at index {i}")
+        if {*map(sub, values, values[1:])} - {0, 1}:
+            for i in range(len(values) - 1):
+                if not 0 <= values[i] - values[i + 1] <= 1:
+                    raise ValueError(f"each step must fall by 0 or 1, not at index {i}")
         while len(values) >= 2 and values[-2] == 0:
             values = values[:-1]
         object.__setattr__(self, "values", values)
@@ -176,6 +180,18 @@ def inf_conv_eval(gap_sets: Sequence[ConvInput], k: int) -> int:
         return gap_function_eval(sets[0], k)
     xs, rs = _windows(sets, max(k, 0))
     return min(map(add, xs, rs), default=0) + max(-k, 0)
+
+
+def inf_conv_table(gap_sets: Sequence[ConvInput]) -> tuple[int, ...]:
+    """The oracle's minimum at every point of [0, reach], reach the cutoff sum.
+
+    inf_conv_eval reads the same values one point at a time; past reach the
+    minimum is 0, and below 0 it is the value at 0 plus the distance below 0.
+    """
+    sets = tuple(map(_as_gap_set, gap_sets))
+    if not sets:
+        raise ValueError("at least one input required")
+    return tuple(_min_table(sets))
 
 
 def _from(table: list, lo: int) -> list:

@@ -12,6 +12,7 @@ from gapkit import (
     CurveSpec,
     GapSet,
     GenusMismatch,
+    StepFunction,
     alexander_from_gaps,
     check_bl,
     check_flmn,
@@ -62,9 +63,48 @@ def row_triples(report):
 
 
 def tampered_oracle(monkeypatch):
-    """Make the direct minimization route answer one more than it should."""
-    real = checkers.inf_conv_eval
-    monkeypatch.setattr("gapkit.checkers.inf_conv_eval", lambda sets, k: real(sets, k) + 1)
+    """Make the direct minimization route answer one more than it should at 0."""
+    real = checkers.inf_conv_table
+
+    def wrong(sets):
+        table = list(real(sets))
+        table[0] += 1
+        return tuple(table)
+
+    monkeypatch.setattr("gapkit.checkers.inf_conv_table", wrong)
+
+
+def tampered_fold(monkeypatch, route, point, delta):
+    """Make the fold a check reads (checkers.inf_conv_pair or inf_conv_n) wrong
+    by delta at one point of [0, reach].  The table is a validated StepFunction
+    when the edit keeps it 1-Lipschitz, and is set without validation otherwise:
+    the cross-check must catch a wrong value wherever it is."""
+    real = getattr(checkers, route)
+
+    def wrong(*args):
+        conv = real(*args)
+        values = list(conv.values) + [0] * (point + 1 - len(conv.values))
+        values[point] += delta
+        try:
+            return StepFunction(values[0], tuple(values))
+        except ValueError:
+            bad = StepFunction(conv.genus, conv.values)
+            object.__setattr__(bad, "genus", values[0])
+            object.__setattr__(bad, "values", tuple(values))
+            return bad
+
+    monkeypatch.setattr(checkers, route, wrong)
+
+
+# (route, check, points its rows read, a point none of them reads, an edit
+# there that keeps the table 1-Lipschitz); each spec's fold is
+# (3, 3, 2, 2, 1, 1, 0), on [0, 6], and the bl row j = -1 reads point 0
+# through the value below 0
+CROSS_CHECKED = {
+    "pair": ("inf_conv_pair", lambda: check_pair_inequality(A, B), {1, 2, 3, 4, 5, 6}, 0, 1),
+    "bl": ("inf_conv_n", lambda: check_bl(CurveSpec(4, (A, A, A))), {0, 1, 5}, 3, -1),
+    "flmn": ("inf_conv_n", lambda: check_flmn(CurveSpec(4, (A, A, A))), {1, 5}, 3, -1),
+}
 
 
 class TestCurveSpec:
@@ -208,6 +248,25 @@ class TestCheckBl:
             check_pair_inequality(A, B)
 
 
+class TestCrossCheck:
+    @pytest.mark.parametrize("check", sorted(CROSS_CHECKED))
+    def test_fold_wrong_at_a_point_no_row_reads_raises(self, check, monkeypatch):
+        route, run, read, point, delta = CROSS_CHECKED[check]
+        assert point not in read
+        tampered_fold(monkeypatch, route, point, delta)
+        with pytest.raises(RuntimeError, match=f"fold value .* at k={point}$"):
+            run()
+
+    @pytest.mark.parametrize("check", sorted(CROSS_CHECKED))
+    @pytest.mark.parametrize("delta", [1, -1])
+    @pytest.mark.parametrize("point", range(7))
+    def test_fold_wrong_at_any_point_raises(self, check, delta, point, monkeypatch):
+        route, run = CROSS_CHECKED[check][:2]
+        tampered_fold(monkeypatch, route, point, delta)
+        with pytest.raises(RuntimeError, match=f"direct minimization .* at k={point}$"):
+            run()
+
+
 class TestCheckFlmn:
     def test_single_cusp_degree_three(self):
         report = check_flmn(CurveSpec(3, (A,)))
@@ -253,6 +312,11 @@ class TestCheckFlmn:
     def test_json_shape(self):
         jsonschema.validate(check_flmn(CurveSpec(4, (A, B))).to_json_dict(), REPORT_SCHEMA)
 
+    def test_disagreeing_convolution_routes_raise(self, monkeypatch):
+        tampered_oracle(monkeypatch)
+        with pytest.raises(RuntimeError, match="direct minimization"):
+            check_flmn(CurveSpec(4, (A, A, A)))
+
 
 class TestCheckReport:
     def test_build_derives_verdict(self):
@@ -266,6 +330,16 @@ class TestCheckReport:
         with pytest.raises(ValueError):
             CheckReport("pair", "pass", rows)
         assert CheckReport.build("pair", rows).verdict == "fail"
+
+    def test_row_is_an_immutable_named_tuple(self):
+        row = CheckRow(2, 1, 3, "<=", False)
+        assert row == (2, 1, 3, "<=", False)
+        assert repr(row) == "CheckRow(j=2, lhs=1, rhs=3, relation='<=', equal=False)"
+        with pytest.raises(AttributeError):
+            row.lhs = 4
+        assert row.satisfied
+        assert not row._replace(lhs=4).satisfied
+        assert row.to_json_dict() == {"j": 2, "lhs": 1, "rhs": 3, "relation": "<=", "equal": False}
 
     def test_equality_relation(self):
         assert CheckRow(0, 2, 2, "==", True).satisfied

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import re
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from gapkit import (
     GapFunction,
@@ -15,6 +16,7 @@ from gapkit import (
     inf_conv_eval,
     inf_conv_n,
     inf_conv_pair,
+    inf_conv_table,
 )
 from gapkit.infconv import _as_step, _fold, _min_table, _pair_table_unit
 
@@ -23,6 +25,7 @@ from conftest import gap_sets
 A = GapSet((1,))
 B = GapSet((1, 3))
 C = GapSet((1, 2, 5, 7))
+EMPTY = GapSet(())
 
 
 def step_functions(max_len: int = 12):
@@ -271,3 +274,46 @@ class TestInfConvEval:
         assert inf_conv_eval([g, h], 0) == total
         for k in range(-g.max_gap - 2, h.max_gap + 3):
             assert gap_function_eval(g, -k) + gap_function_eval(h, k) >= total
+
+
+class TestInfConvTable:
+    @given(
+        st.lists(
+            st.one_of(st.just(EMPTY), gap_sets(max_element=3, max_size=2)), min_size=1, max_size=4
+        )
+    )
+    @example([EMPTY])
+    @example([EMPTY, A, EMPTY, B])
+    def test_matches_brute_force_and_pointwise_oracle(self, sets):
+        def gap_fn(g, m):
+            return sum(1 for x in g.elements if x >= m) + max(0, -m)
+
+        # an argument past its cutoff c can hand the excess to another one
+        # without raising the sum, so a minimizer has every x_i <= c_i, and
+        # then x_i >= k - (reach - c_i): each of the first n - 1 arguments
+        # ranges over that window and the last takes the rest
+        cutoffs = [g.max_gap + 1 for g in sets]
+        reach = sum(cutoffs)
+        table = inf_conv_table(sets)
+        assert type(table) is tuple
+        assert len(table) == reach + 1
+        for k in range(reach + 1):
+            windows = [range(k - reach + c, c + 1) for c in cutoffs[:-1]]
+            brute = min(
+                sum(gap_fn(g, x) for g, x in zip(sets, xs)) + gap_fn(sets[-1], k - sum(xs))
+                for xs in product(*windows)
+            )
+            assert table[k] == brute == inf_conv_eval(sets, k)
+
+    def test_returns_the_kept_table_as_a_tuple(self):
+        table = inf_conv_table([A, B])
+        assert table == (3, 3, 2, 2, 1, 1, 0)
+        assert _min_table((A, B)) == list(table)
+        assert inf_conv_table((A, B)) == table
+
+    @pytest.mark.parametrize("inputs", [[], [StepFunction.from_gap_set(A)], [A, 3]])
+    def test_rejects_what_the_pointwise_oracle_rejects(self, inputs):
+        with pytest.raises((ValueError, TypeError)) as pointwise:
+            inf_conv_eval(inputs, 0)
+        with pytest.raises(pointwise.type, match=re.escape(str(pointwise.value))):
+            inf_conv_table(inputs)
