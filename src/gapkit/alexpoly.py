@@ -91,8 +91,8 @@ class KSequence:
 
     def at(self, j: int) -> int:
         """k_j, with the implicit zero tail beyond the stored support."""
-        if j < 0:
-            raise ValueError(f"index must be nonnegative, got {j}")
+        if type(j) is not int and not _is_int(j) or j < 0:
+            raise ValueError(f"index must be a nonnegative integer, got {j!r}")
         return self.ks[j] if j < len(self.ks) else 0
 
     def to_polynomial(self) -> IntPolynomial:

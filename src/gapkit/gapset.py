@@ -141,6 +141,8 @@ def gap_function_eval(gap_set: GapSet, m: int) -> int:
 
     Closed form genus - m for m <= 0; above 0, the set bits of the mask from m up.
     """
+    if type(m) is not int and not _is_int(m):
+        raise ValueError(f"point must be an integer, got {m!r}")
     return gap_set.genus - m if m <= 0 else (gap_set._mask >> m).bit_count()
 
 

@@ -72,6 +72,8 @@ class StepFunction:
         return len(self.values) - 1
 
     def __call__(self, k: int) -> int:
+        if type(k) is not int and not _is_int(k):
+            raise ValueError(f"point must be an integer, got {k!r}")
         if k <= 0:
             return self.genus - k
         if k >= len(self.values):
@@ -173,6 +175,8 @@ def inf_conv_eval(gap_sets: Sequence[ConvInput], k: int) -> int:
     one of k + 1 <= 0 an argument <= 0, where each I_i is genus - m, so moving
     that argument by one changes the sum by exactly 1.
     """
+    if type(k) is not int and not _is_int(k):
+        raise ValueError(f"point must be an integer, got {k!r}")
     sets = tuple(map(_as_gap_set, gap_sets))
     if not sets:
         raise ValueError("at least one input required")

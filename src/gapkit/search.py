@@ -4,9 +4,9 @@ Multisets of n gap sets are drawn from a pool, either enumerated in (genus,
 lex) order or given explicitly and taken in the order given.  The scan
 carries each prefix's elementary symmetric sums of the gap polynomials and its
 convolution table as packed integers, one coefficient per fixed-width bit
-slot; every hit is re-verified through the product polynomial and the
-independent oracle route, which share no arithmetic with the scan, before it
-is emitted.
+slot; every hit is re-verified, before it is emitted, through the checks' k
+read (checkers._k_sequence, the product polynomial expanded) and the
+independent oracle route, which share no arithmetic with the scan.
 Every index j >= 1 of the k-sequence is checked.  Index 0 is skipped because
 k_0 and I(1) always agree; that identity is asserted per multiset rather than
 assumed.
@@ -22,13 +22,13 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from itertools import combinations, islice
 from math import comb
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .alexpoly import IntPolynomial, KSequence, alexander_from_gaps, expand_k_sequence, poly_mul
-from .checkers import bl_genus, bl_rows
+from .alexpoly import alexander_from_gaps, expand_k_sequence, poly_mul  # noqa: F401  (span sites for bench/spans.py)
+from .checkers import _k_sequence, bl_genus, bl_rows
 from .errors import ConfigInvalid
 from .gapset import GapFunction, GapSet, _is_int, is_semigroup_complement
 from .infconv import inf_conv_eval
@@ -173,20 +173,6 @@ def verify_violation(violation: Violation) -> bool:
         and bound == violation.bound
         and violation.k > violation.bound
     )
-
-
-# A search emits each multiset's violations together and runs through multisets
-# sharing a prefix, so the k-sequence is kept per multiset and the product per prefix.
-@lru_cache(maxsize=64)
-def _k_sequence(cusps: tuple[GapSet, ...]) -> KSequence:
-    return expand_k_sequence(_alexander_product(cusps), sum(g.genus for g in cusps))
-
-
-@lru_cache(maxsize=1024)
-def _alexander_product(cusps: tuple[GapSet, ...]) -> IntPolynomial:
-    if len(cusps) == 1:
-        return alexander_from_gaps(cusps[0])
-    return poly_mul(_alexander_product(cusps[:-1]), _alexander_product(cusps[-1:]))
 
 
 def search_violations(

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from gapkit import GapSet, alexpoly, checkers, cli, gapset, infconv, search
 
 # Every lru_cache in gapkit: alexander_from_gaps in alexpoly, _min_table and
-# _fold in infconv, _k_sequence and _alexander_product in search.
+# _fold in infconv, _k_sequence and _product in checkers.
 GAPKIT_CACHES = [
     value
     for module in (alexpoly, checkers, cli, gapset, infconv, search)

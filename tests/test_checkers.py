@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import jsonschema
 import pytest
 from hypothesis import given, strategies as st
@@ -12,15 +14,21 @@ from gapkit import (
     CurveSpec,
     GapSet,
     GenusMismatch,
+    KSequence,
     StepFunction,
+    Violation,
     alexander_from_gaps,
     check_bl,
     check_flmn,
     check_pair_inequality,
     expand_k_sequence,
+    gap_function_eval,
+    inf_conv_eval,
+    inf_conv_n,
     poly_mul,
     product_k_closed_form,
     validate_spec,
+    verify_violation,
 )
 
 from gapkit import checkers
@@ -29,6 +37,7 @@ from conftest import gap_sets
 
 A = GapSet((1,))
 B = GapSet((1, 3))
+C = GapSet((1, 2, 5, 7))
 EMPTY = GapSet(())
 
 REPORT_SCHEMA = {
@@ -159,6 +168,24 @@ class TestProductKClosedForm:
         ks = expand_k_sequence(product, g.genus + h.genus)
         for j in range(g.max_gap + h.max_gap + 3):
             assert product_k_closed_form(g, h, j) == ks.at(j)
+
+
+class TestIntegerPoints:
+    # a float or a bool would be read as a point between, or at, the integers
+    @pytest.mark.parametrize("point", [-0.5, 0.5, 1.0, True, False])
+    @pytest.mark.parametrize(
+        "read",
+        [
+            pytest.param(lambda m: gap_function_eval(A, m), id="gap_function_eval"),
+            pytest.param(lambda m: inf_conv_eval((A, B), m), id="inf_conv_eval"),
+            pytest.param(lambda m: inf_conv_n([A, B])(m), id="StepFunction"),
+            pytest.param(lambda m: KSequence(3, (3, 1, 2)).at(m), id="KSequence.at"),
+            pytest.param(lambda m: product_k_closed_form(A, B, m), id="product_k_closed_form"),
+        ],
+    )
+    def test_rejected_naming_the_point(self, read, point):
+        with pytest.raises(ValueError, match=re.escape(repr(point))):
+            read(point)
 
 
 class TestCheckPairInequality:
@@ -316,6 +343,42 @@ class TestCheckFlmn:
         tampered_oracle(monkeypatch)
         with pytest.raises(RuntimeError, match="direct minimization"):
             check_flmn(CurveSpec(4, (A, A, A)))
+
+
+class TestOneKRead:
+    """The checks and the search's re-verification read k through one cached route."""
+
+    def test_verification_and_checks_share_the_route(self, monkeypatch):
+        real = checkers.expand_k_sequence
+
+        def k_2_one_more(poly, genus):
+            ks = list(real(poly, genus).ks)
+            ks[2] += 1
+            return KSequence(genus, tuple(ks))
+
+        monkeypatch.setattr(checkers, "expand_k_sequence", k_2_one_more)
+        # the genuine hit of (A, B, C) at j = 2 now reads k_2 = 7
+        assert not verify_violation(Violation((A, B, C), 2, 6, 5))
+        assert check_pair_inequality(A, B).rows[2].lhs == 3
+
+    def test_verification_and_checks_share_the_cache(self, monkeypatch):
+        calls = []
+        for name in ("poly_mul", "expand_k_sequence"):
+
+            def spy(*args, name=name, real=getattr(checkers, name)):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(checkers, name, spy)
+        assert verify_violation(Violation((A, A, A), 2, 3, 2))
+        calls.clear()
+        check_flmn(CurveSpec(4, (A, A, A)))
+        assert calls == []
+        checkers._k_sequence((A, B, C))
+        calls.clear()
+        # the (A, B) prefix's product is kept
+        checkers._k_sequence((A, B, A))
+        assert calls == ["poly_mul", "expand_k_sequence"]
 
 
 class TestCheckReport:
