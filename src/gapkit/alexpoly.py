@@ -56,6 +56,8 @@ class IntPolynomial:
         return len(self.coefficients) - 1
 
     def __call__(self, x: int) -> int:
+        if type(x) is not int and not _is_int(x):
+            raise ValueError(f"point must be an integer, got {x!r}")
         acc = 0
         for c in reversed(self.coefficients):
             acc = acc * x + c

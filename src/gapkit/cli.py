@@ -51,29 +51,43 @@ def _json_ready(value):
     return value
 
 
-# every integer beyond 2^53 has at least 16 digits
+# every integer beyond 2^53 in magnitude has at least 16 digits, and so is at least 10^15
 _SIXTEEN_DIGITS = re.compile(r"\d{16}")
+_SIXTEEN_DIGITS_MIN = 10**15
 
 
-def _cusps_json(cusps: Sequence[GapSet]) -> str:
-    """The items of a search line's "cusps" list, in json.dumps's layout."""
-    return ", ".join(["[%s]" % ", ".join(map(str, g.elements)) for g in cusps])
+def _cusps_json(cusps: Sequence[GapSet], texts: Optional[dict] = None) -> Optional[str]:
+    """The items of a search line's "cusps" list, in json.dumps's layout.
+
+    None when they hold a run of 16 digits, as a gap beyond 2^53 would.
+    texts, when given, keeps each gap set's text by its elements from one call to the next.
+    """
+    if texts is None:
+        texts = {}
+    items = []
+    for g in cusps:
+        text = texts.get(g.elements)
+        if text is None:
+            text = texts[g.elements] = "[%s]" % ", ".join(map(str, g.elements))
+        items.append(text)
+    text = ", ".join(items)
+    return None if _SIXTEEN_DIGITS.search(text) else text
 
 
 def _violation_json(violation: Violation, cusps: Optional[str] = None) -> str:
     """A search line: json.dumps(_json_ready(violation.to_json_dict())), formatted directly.
 
-    cusps, when given, is _cusps_json(violation.cusps), kept from an earlier line.
+    cusps, when given, is _cusps_json(violation.cusps), kept from an earlier line;
+    None makes it here.  A line that would hold a run of 16 digits, where
+    _json_ready may put a string, goes through json.dumps.
     """
     if cusps is None:
         cusps = _cusps_json(violation.cusps)
-    line = '{"cusps": [%s], "j": %d, "k": %d, "bound": %d}' % (
-        cusps,
-        violation.j,
-        violation.k,
-        violation.bound,
-    )
-    return json.dumps(_json_ready(violation.to_json_dict())) if _SIXTEEN_DIGITS.search(line) else line
+    j, k, bound = violation.j, violation.k, violation.bound
+    limit = _SIXTEEN_DIGITS_MIN
+    if cusps is None or not (-limit < j < limit and -limit < k < limit and -limit < bound < limit):
+        return json.dumps(_json_ready(violation.to_json_dict()))
+    return '{"cusps": [%s], "j": %d, "k": %d, "bound": %d}' % (cusps, j, k, bound)
 
 
 def _emit(args, doc, text: str) -> None:
@@ -212,13 +226,15 @@ def _cmd_search(args) -> int:
     write = sys.stdout.write
     found = 0
     last = None
+    texts: dict = {}
     for violation in search_violations(config, checkpoint_path=args.checkpoint, workers=args.workers):
         found += 1
-        # a multiset's hits come one after another, so its cusps text is made once
+        # a multiset's hits come one after another, so its cusps text is made once,
+        # from the texts of its gap sets, each made once per run
         if violation.cusps != last:
             last = violation.cusps
             if args.json:
-                cusps = _cusps_json(last)
+                cusps = _cusps_json(last, texts)
             else:
                 cusps = ";".join(g.to_text() or "-" for g in last)
         if args.json:

@@ -106,6 +106,8 @@ def _as_step(x: ConvInput) -> StepFunction:
 
 
 def _as_gap_set(x: ConvInput) -> GapSet:
+    if type(x) is GapSet:
+        return x
     if isinstance(x, GapFunction):
         return x.gap_set
     if isinstance(x, GapSet):

@@ -112,15 +112,16 @@ class Violation:
         if not cusps:
             raise ValueError("at least one cusp required")
         for g in cusps:
-            if not isinstance(g, GapSet):
+            if type(g) is not GapSet and not isinstance(g, GapSet):
                 raise ValueError(f"cusps must be GapSet values, got {type(g).__name__}")
-        if not (_is_int(self.j) and _is_int(self.k) and _is_int(self.bound)):
-            raise ValueError(
-                f"j, k and bound must be integers, got {self.j!r}, {self.k!r}, {self.bound!r}"
-            )
-        if self.k <= self.bound:
-            raise ValueError(f"not a violation: k = {self.k} <= bound = {self.bound}")
-        object.__setattr__(self, "cusps", tuple(sorted(cusps, key=lambda g: (g.genus, g.elements))))
+        j, k, bound = self.j, self.k, self.bound
+        if not (type(j) is type(k) is type(bound) is int or _is_int(j) and _is_int(k) and _is_int(bound)):
+            raise ValueError(f"j, k and bound must be integers, got {j!r}, {k!r}, {bound!r}")
+        if k <= bound:
+            raise ValueError(f"not a violation: k = {k} <= bound = {bound}")
+        ordered = tuple(sorted(cusps, key=_genus_lex))
+        # cusps already in order stay the same tuple, which the hits of a multiset share
+        object.__setattr__(self, "cusps", cusps if ordered == cusps else ordered)
 
     def to_json_dict(self) -> dict:
         return {
@@ -138,6 +139,11 @@ class Violation:
             data["k"],
             data["bound"],
         )
+
+
+def _genus_lex(gap_set: GapSet) -> tuple:
+    """Sort key of the (genus, lex) order, read without the genus property."""
+    return len(gap_set.elements), gap_set.elements
 
 
 def enumerate_gap_sets(
@@ -262,11 +268,20 @@ def _resolved_pool(config: SearchConfig) -> tuple[GapSet, ...]:
 
 
 def _unit_violations(pool: tuple, layout: _Layout, require_bl: Optional[int], unit: int) -> list:
-    """The violations of a unit, scanned, built and re-verified in the process running it."""
-    violations = [
-        Violation(tuple(pool[x] for x in at), j, k, bound)
-        for at, j, k, bound in _scan_unit(layout, unit, require_bl)
-    ]
+    """The violations of a unit, scanned, built and re-verified in the process running it.
+
+    The hits of one multiset share one cusps tuple: the scan gives them one
+    path, and the first hit's sorted tuple is handed on to the next.
+    """
+    violations = []
+    path = cusps = None
+    for at, j, k, bound in _scan_unit(layout, unit, require_bl):
+        if at is not path:
+            path = at
+            cusps = tuple(pool[x] for x in at)
+        violation = Violation(cusps, j, k, bound)
+        cusps = violation.cusps
+        violations.append(violation)
     for violation in violations:
         if not verify_violation(violation):
             raise RuntimeError(f"internal: violation failed oracle re-verification: {violation}")

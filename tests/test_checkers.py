@@ -14,6 +14,7 @@ from gapkit import (
     CurveSpec,
     GapSet,
     GenusMismatch,
+    IntPolynomial,
     KSequence,
     StepFunction,
     Violation,
@@ -181,6 +182,7 @@ class TestIntegerPoints:
             pytest.param(lambda m: inf_conv_n([A, B])(m), id="StepFunction"),
             pytest.param(lambda m: KSequence(3, (3, 1, 2)).at(m), id="KSequence.at"),
             pytest.param(lambda m: product_k_closed_form(A, B, m), id="product_k_closed_form"),
+            pytest.param(lambda m: IntPolynomial((1, 2, 3))(m), id="IntPolynomial"),
         ],
     )
     def test_rejected_naming_the_point(self, read, point):

@@ -10,12 +10,13 @@ import shutil
 import subprocess
 import sys
 from functools import reduce
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
 
 from gapkit import Violation, verify_violation
-from gapkit.cli import _json_ready, _violation_json, main
+from gapkit.cli import _cusps_json, _json_ready, _violation_json, main
 
 from conftest import gap_sets
 
@@ -265,6 +266,14 @@ class TestSearch:
         assert out.splitlines()[0] == "1;1;1 j=2 k=3 bound=2"
         assert "1;1,3;1,2,5,7 j=2 k=6 bound=5" in out.splitlines()
 
+    def test_pool_out_of_order_prints_cusps_in_genus_lex_order(self, capsys):
+        code, out, _ = run_cli(capsys, "search", "--n", "3", "--pool", UNORDERED_POOL, "--json")
+        assert code == 1
+        lines = [json.loads(line)["cusps"] for line in out.splitlines()]
+        assert lines
+        for cusps in lines:
+            assert cusps == sorted(cusps, key=lambda c: (len(c), c))
+
     def test_no_hits_exits_zero(self, capsys):
         code, out, _ = run_cli(capsys, "search", "--n", "2", "--max-gap", "4")
         assert (code, out) == (0, "")
@@ -343,6 +352,10 @@ class TestSearch:
         assert "error:" in err
 
 
+# an explicit pool in neither genus nor lex order, so most multisets' paths are out of order
+UNORDERED_POOL = "1,2,5,7;1;1,3;2;3,5"
+
+
 class TestSearchStreamBytes:
     """Whole search streams pinned by the sha256 of their stdout bytes."""
 
@@ -370,6 +383,14 @@ class TestSearchStreamBytes:
                 # the first stream again, each unit scanned and verified in a worker
                 ("--n", "3", "--max-gap", "5", "--json", "--workers", "2"),
                 "5901f923568853f33419e021db1ff4d82066bc591925bba8979c3213b9aed355",
+            ),
+            (
+                ("--n", "3", "--pool", UNORDERED_POOL, "--json"),
+                "a4732331c300359b7f487688fb85026d1b2e704e4efb5405030fc5bdc0a8da3d",
+            ),
+            (
+                ("--n", "3", "--pool", UNORDERED_POOL),
+                "0295a6300e8704ea2e7169cc3585392871783b24a510d8410978553ffe714b07",
             ),
         ],
     )
@@ -404,6 +425,13 @@ class TestEncoders:
     def test_search_line_is_the_json_of_the_violation(self, violation):
         reference = json.dumps(_json_ready(violation.to_json_dict()))
         assert _violation_json(violation) == reference
+        # the form the search command calls, with the cusps text made once per multiset
+        assert _violation_json(violation, _cusps_json(violation.cusps)) == reference
+
+    def test_cusps_text_with_sixteen_digits_is_not_used(self):
+        # no GapSet holds a gap that large (its bitmask would be 10^15 bits wide), so stand-ins
+        assert _cusps_json([SimpleNamespace(elements=(1, 10**15 - 1))]) == "[1, 999999999999999]"
+        assert _cusps_json([SimpleNamespace(elements=(1, 10**15))]) is None
 
 
 class TestSearchFullGolden:

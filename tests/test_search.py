@@ -180,6 +180,23 @@ class TestSearchViolations:
         with pytest.raises(RuntimeError, match="re-verification"):
             run(SearchConfig(n=3, pool=TRIPLE_POOL))
 
+    @pytest.mark.parametrize(
+        "pool", [TRIPLE_POOL, (C, A, B, GapSet((2,)), GapSet((3, 5)))], ids=["genus-lex", "unordered"]
+    )
+    def test_hits_of_a_multiset_share_one_cusps_tuple(self, pool):
+        layout = search._prep_pool(pool, 3)
+        shared = {}
+        hits = 0
+        for unit in range(len(pool)):
+            for v in search._unit_violations(pool, layout, None, unit):
+                hits += 1
+                assert v.cusps is shared.setdefault(v.cusps, v.cusps)
+                assert [g.elements for g in v.cusps] == sorted(
+                    (g.elements for g in v.cusps), key=lambda e: (len(e), e)
+                )
+        # some multiset has more than one hit
+        assert len(shared) < hits
+
     def test_shards_partition_the_stream(self):
         reference = run(SearchConfig(n=3, max_gap_bound=3))
         pieces = []
