@@ -28,7 +28,7 @@ from math import comb
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .alexpoly import alexander_from_gaps, expand_k_sequence, poly_mul  # noqa: F401  (span sites for bench/spans.py)
-from .checkers import _k_sequence, bl_genus, bl_rows
+from .checkers import _k_sequence, bl_rows
 from .errors import ConfigInvalid
 from .gapset import GapFunction, GapSet, _is_int, is_semigroup_complement
 from .infconv import inf_conv_eval
@@ -280,11 +280,10 @@ def _unit_violations(pool: tuple, layout: _Layout, require_bl: Optional[int], un
             path = at
             cusps = tuple(pool[x] for x in at)
         violation = Violation(cusps, j, k, bound)
-        cusps = violation.cusps
-        violations.append(violation)
-    for violation in violations:
         if not verify_violation(violation):
             raise RuntimeError(f"internal: violation failed oracle re-verification: {violation}")
+        cusps = violation.cusps
+        violations.append(violation)
     return violations
 
 
@@ -294,8 +293,8 @@ class _Layout(NamedTuple):
     A packed integer holds coefficient j in bits [bits*j, bits*j + bits).
     high has the top bit of each of the scan's slots.  tails[k - 3] is
     (k, even, odd) for k = 3..n, the even-parity and odd-parity terms of
-    (t-1)^(k-2), packed.  Each entry of sets is (S, U, T, row0, rows, genus)
-    for one gap set, see _prep_pool.
+    (t-1)^(k-2), packed.  Each entry of sets is (S, T, row0, rows) for one
+    gap set, see _prep_pool.
     """
 
     n: int
@@ -308,10 +307,10 @@ class _Layout(NamedTuple):
 def _slot_bits(pool: Sequence[GapSet], n: int) -> int:
     """Slot width: every slot value the scan forms stays below 2**(bits - 1).
 
-    With G the largest genus, the prefix sums U and the convolution tables
-    stay at most n*G, and e_k(S_1..S_n) has coefficients at most
-    C(n,k)*G^(k-1).  The sum pos is U + e_2 + sum over k >= 3 of e_k times
-    the even-parity part of (t-1)^(k-2), whose coefficients add up to
+    With G the largest genus, the prefix sums t of the sets' T and the
+    convolution tables stay at most n*G, and e_k(S_1..S_n) has coefficients
+    at most C(n,k)*G^(k-1).  The sum pos is U + e_2 + sum over k >= 3 of e_k
+    times the even-parity part of (t-1)^(k-2), whose coefficients add up to
     2^(k-3); the sum rhs is bounded the same way.  A row of the table
     minimum holds at most (n+1)*G + 1 in its filled low slots.
     """
@@ -326,14 +325,16 @@ def _slot_bits(pool: Sequence[GapSet], n: int) -> int:
 def _prep_pool(pool: Sequence[GapSet], n: int) -> _Layout:
     """Packed per-set data for scanning multisets of n sets from the pool.
 
-    For a gap set c: S is its 0/1 gap polynomial, U holds I_c(j+1) and T
-    holds I_c(j) at slot j.  The table minimum T <> I_c is the slotwise
-    minimum of rows, one per split x in {0} and {g+1 : g in c}: I_c is
-    constant from one such x up to the next gap and a table is
-    nonincreasing, so the smallest x of each stretch wins.  Row x is
-    (T << bits*x) + add, where add puts I_c(x) in slots x and up and a value
-    above every convolution in the slots below x, which no split beyond the
-    point may win (the 1-Lipschitz window).  row0 is the add of x = 0.
+    For a gap set c: S is its 0/1 gap polynomial and T holds I_c(j) at
+    slot j, so slot 0 is its genus and T >> bits holds I_c(j+1).  The table
+    minimum T <> I_c is the slotwise minimum of rows, one per split x in {0}
+    and {g+1 : g in c}: I_c is constant from one such x up to the next gap
+    and a table is nonincreasing, so the smallest x of each stretch wins.
+    Row x is (T << bits*x) + add, where add puts I_c(x) in slots x and up and
+    a value above every convolution in the slots below x, which no split
+    beyond the point may win (the 1-Lipschitz window).  row0 is the add of
+    x = 0; every other row has the value above every convolution in slot 0,
+    so the minimum keeps the genus sum there.
     """
     bits = _slot_bits(pool, n)
     width = n * (max(gap_set.max_gap for gap_set in pool) + 1) + 1
@@ -361,11 +362,9 @@ def _prep_pool(pool: Sequence[GapSet], n: int) -> _Layout:
         sets.append(
             (
                 sum(1 << bits * g for g in gap_set.elements),
-                packed(values[1:]),
                 packed(values),
                 gap_set.genus * ones,
                 tuple(rows),
-                gap_set.genus,
             )
         )
     return _Layout(n, bits, high, tuple(tails), tuple(sets))
@@ -374,26 +373,26 @@ def _prep_pool(pool: Sequence[GapSet], n: int) -> _Layout:
 def _scan_unit(layout: _Layout, first: int, require_bl: Optional[int]) -> list:
     """All violations among multisets whose smallest pool index is `first`.
 
-    Depth-first over nondecreasing index tuples.  Each prefix carries, packed,
-    e_1..e_n of its gap polynomials, U (the sum of I_c(j+1)) and its
-    convolution table T, so each prefix is computed once.  With every cusp
-    polynomial 1 + (t-1) S_c, the product is the sum of e_k (t-1)^k, and
-    K = U + e_2 + (t-1) e_3 + (t-1)^2 e_4 + ...  K may go negative, so a leaf
-    compares two nonnegative sums instead: pos (U, e_2 and the even-parity
-    terms) against rhs (the odd-parity terms plus T(j+1)); j is a hit where
-    pos_j > rhs_j.
+    Depth-first over nondecreasing index tuples `at`.  Each prefix carries,
+    packed, e_1..e_n of its gap polynomials, t (the sum of the sets' T) and
+    its convolution table, so each prefix is computed once; slot 0 of t and
+    of the table is the genus sum, and U = t >> bits sums I_c(j+1).  With
+    every cusp polynomial 1 + (t-1) S_c, the product is the sum of
+    e_k (t-1)^k, and K = U + e_2 + (t-1) e_3 + (t-1)^2 e_4 + ...  K may go
+    negative, so a leaf compares two nonnegative sums instead: pos (U, e_2
+    and the even-parity terms) against rhs (the odd-parity terms plus the
+    table at j+1); j is a hit where pos_j > rhs_j.
     """
     n, bits, high, tails, sets = layout
     mask = (1 << bits) - 1
     below_top = bits - 1
     found = []
-    path = [first]
-    bl = None if require_bl is None else (bl_genus(require_bl), bl_rows(require_bl))
+    bl = None if require_bl is None else bl_rows(require_bl)
 
-    def leaf(es: list, u: int, table: int, genus_sum: int) -> None:
-        if bl is not None and not _bl_holds(table, bits, genus_sum, *bl):
+    def leaf(es: list, t: int, table: int, at: tuple) -> None:
+        if bl is not None and not _bl_holds(table, bits, bl):
             return
-        pos = u + es[2]
+        pos = (t >> bits) + es[2]
         rhs = table >> bits
         for k, even, odd in tails:
             pos += es[k] * even
@@ -405,9 +404,6 @@ def _scan_unit(layout: _Layout, first: int, require_bl: Optional[int]) -> list:
         # top bit of slot j clear where rhs_j - pos_j < 0; lowest slot first.
         # Slot 0 never hits, as k_0 = I(1) above, and past the support both sums are 0.
         hits = ~((rhs | high) - pos) & high
-        if not hits:
-            return
-        at = tuple(path)
         while hits:
             low = hits & -hits
             hits ^= low
@@ -416,12 +412,13 @@ def _scan_unit(layout: _Layout, first: int, require_bl: Optional[int]) -> list:
             kj = (pos >> bits * j & mask) - (rhs >> bits * j & mask) + bound
             found.append((at, j, kj, bound))
 
-    def descend(depth: int, start: int, es: list, u: int, table: int, genus_sum: int) -> None:
+    def descend(es: list, t: int, table: int, at: tuple) -> None:
+        depth = len(at)
         if depth == n:
-            leaf(es, u, table, genus_sum)
+            leaf(es, t, table, at)
             return
-        for idx in range(start, len(sets)):
-            s, u_c, _, row0, rows, genus = sets[idx]
+        for idx in range(at[-1], len(sets)):
+            s, t_c, row0, rows = sets[idx]
             grown = es[:]
             for k in range(depth + 1, 0, -1):
                 grown[k] += grown[k - 1] * s
@@ -433,23 +430,24 @@ def _scan_unit(layout: _Layout, first: int, require_bl: Optional[int]) -> list:
                 diff = (new | high) - row
                 ge = diff & high
                 new -= diff & (ge - (ge >> below_top))
-            path.append(idx)
-            descend(depth + 1, idx, grown, u + u_c, new, genus_sum + genus)
-            path.pop()
+            descend(grown, t + t_c, new, at + (idx,))
 
-    s, u, table, _, _, genus = sets[first]
+    s, table, _, _ = sets[first]
     # e_0..e_n, and an e_2 = 0 that a single set needs at its leaf
-    descend(1, first, [1, s] + [0] * n, u, table, genus)
+    descend([1, s] + [0] * n, table, table, (first,))
     return found
 
 
-def _bl_holds(table: int, bits: int, genus_sum: int, required: int, rows: tuple) -> bool:
-    """The bl identity read off a packed table, for bl_genus and bl_rows of a degree."""
-    if genus_sum != required:
-        return False
+def _bl_holds(table: int, bits: int, rows: tuple) -> bool:
+    """The bl identity read off a packed table, for the bl_rows of a degree.
+
+    Below 0 the convolution is its value at 0, the genus sum in slot 0, plus
+    the distance, so row j = -1, which comes first, holds exactly when the
+    genus sum is bl_genus of the degree.
+    """
     mask = (1 << bits) - 1
     for _, point, target in rows:
-        lhs = genus_sum - point if point <= 0 else table >> bits * point & mask
+        lhs = (table & mask) - point if point <= 0 else table >> bits * point & mask
         if lhs != target:
             return False
     return True

@@ -277,6 +277,19 @@ class TestCheckBl:
             check_pair_inequality(A, B)
 
 
+class TestBlRows:
+    """Row j = -1 of the bl identity is the genus test; the search relies on it."""
+
+    @pytest.mark.parametrize("d", range(3, 13))
+    def test_row_minus_one_holds_exactly_at_the_bl_genus(self, d):
+        genus = checkers.bl_genus(d)
+        j, point, target = checkers.bl_rows(d)[0]
+        assert j == -1
+        # below 0 a convolution is its genus sum plus the distance
+        for genus_sum in range(2 * genus + d + 1):
+            assert (genus_sum - point == target) == (genus_sum == genus)
+
+
 class TestCrossCheck:
     @pytest.mark.parametrize("check", sorted(CROSS_CHECKED))
     def test_fold_wrong_at_a_point_no_row_reads_raises(self, check, monkeypatch):

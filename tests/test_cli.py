@@ -392,6 +392,16 @@ class TestSearchStreamBytes:
                 ("--n", "3", "--pool", UNORDERED_POOL),
                 "0295a6300e8704ea2e7169cc3585392871783b24a510d8410978553ffe714b07",
             ),
+            (
+                # 726 lines from the multisets that pass the degree-5 bl identity
+                ("--n", "3", "--require-bl", "5", "--max-gap", "6", "--json"),
+                "cdb500707a6a593d7d65f99d98895250744cfbadec2cfc7d10bf6575edaf258d",
+            ),
+            (
+                # the paper's configuration: 17 lines, the same that max gap 11 gives
+                ("--n", "3", "--semigroup-only", "--require-bl", "5", "--max-gap", "9", "--json"),
+                "413559af08e919f28f1045e791cfa1a7d88864f5d075c4004fe1d8fe79f0aada",
+            ),
         ],
     )
     def test_stdout_digest(self, flags, digest):

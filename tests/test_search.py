@@ -289,16 +289,21 @@ class TestScanAgainstBruteForce:
             return verdicts[-1]
 
         monkeypatch.setattr("gapkit.search._bl_holds", recording)
-        for degree in (4, 5):
+        multisets = list(combinations_with_replacement(pool, 3))
+        # degree: (multisets passing, multisets at the bl genus).  The genus
+        # sums run 0..12, so bl genus 1 and 10 sit near both ends; the 16
+        # triples of genus 10 pass row j = -1 at degree 6 and fail a later row.
+        expected = {3: (3, 4), 4: (26, 48), 5: (93, 178), 6: (0, 16)}
+        for degree, (passing, at_genus) in expected.items():
             verdicts.clear()
             found = run(SearchConfig(n=3, pool=pool, require_bl=degree))
             assert hit_tuples(found) == brute_force(pool, 3, require_bl=degree)
             assert all(check_bl(CurveSpec(degree, v.cusps)).passed for v in found)
-            multisets = list(combinations_with_replacement(pool, 3))
             failing = sum(not passes_bl(degree, cusps) for cusps in multisets)
             assert len(verdicts) == len(multisets)
-            assert verdicts.count(False) == failing
-            assert 0 < failing < len(multisets)
+            assert verdicts.count(False) == failing == len(multisets) - passing
+            genus = (degree - 1) * (degree - 2) // 2
+            assert sum(sum(g.genus for g in cusps) == genus for cusps in multisets) == at_genus
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize(
