@@ -99,11 +99,7 @@ class KSequence:
 
     def to_polynomial(self) -> IntPolynomial:
         """Rebuild 1 + (t-1) genus + (t-1)^2 * sum of k_j t^j."""
-        coeffs = [0] * (len(self.ks) + 2)
-        for j, k in enumerate(self.ks):
-            coeffs[j] += k
-            coeffs[j + 1] -= 2 * k
-            coeffs[j + 2] += k
+        coeffs = _mul(self.ks, (1, -2, 1)) + [0, 0]
         coeffs[0] += 1 - self.genus
         coeffs[1] += self.genus
         return IntPolynomial(tuple(coeffs))

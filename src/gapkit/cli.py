@@ -355,6 +355,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except RuntimeError as exc:  # BrokenProcessPool is a RuntimeError too
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:  # never 1, which would read as a checked negative
+        print("internal error: out of memory", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -5,10 +5,10 @@ splits k_1 + ... + k_n = k.  Every function here is 1-Lipschitz (each step falls
 by 0 or 1), has slope -1 below 0, and vanishes beyond a finite cutoff, as gap
 functions and their convolutions do; StepFunction rejects any other table.
 
-The pairwise fold scans splits in [0, k], as the 1-Lipschitz property allows.
-It keeps one fold per prefix of inputs in one cache, a single gap set's
-StepFunction included, so calls on multisets that share a prefix share its
-table.
+The fold scans splits in [0, k], as the 1-Lipschitz property allows.  It keeps
+one table per prefix of inputs in one cache, a single gap set's StepFunction
+included, so calls on multisets that share a prefix share its table;
+inf_conv_pair is the fold of its two inputs and shares that cache.
 The oracle finds the minimum M on [0, reach] off kept tables, by monotonicity
 alone: inf_conv_table returns M on all of [0, reach] and inf_conv_eval one
 point of it, taking M(k) = M(0) - k below 0: a split of k <= -1
@@ -100,11 +100,6 @@ def _conv_input(x: ConvInput) -> Union[GapSet, StepFunction]:
     raise TypeError(f"expected GapSet, GapFunction, or StepFunction, got {type(x).__name__}")
 
 
-def _as_step(x: ConvInput) -> StepFunction:
-    x = _conv_input(x)
-    return x if isinstance(x, StepFunction) else _fold((x,))
-
-
 def _as_gap_set(x: ConvInput) -> GapSet:
     if type(x) is GapSet:
         return x
@@ -115,12 +110,16 @@ def _as_gap_set(x: ConvInput) -> GapSet:
     raise TypeError(f"expected GapSet or GapFunction, got {type(x).__name__}")
 
 
-def _pair_table_unit(va: Sequence[int], vb: Sequence[int]) -> list:
-    """Min-plus table of two 1-Lipschitz step tables on [0, Ka + Kb].
+def _oracle_inputs(gap_sets: Sequence[ConvInput]) -> tuple[GapSet, ...]:
+    """The oracle's inputs as gap sets; a StepFunction or no input at all is rejected."""
+    sets = tuple(map(_as_gap_set, gap_sets))
+    if not sets:
+        raise ValueError("at least one input required")
+    return sets
 
-    With both inputs 1-Lipschitz, moving an argument below 0 (or above k) trades
-    a guaranteed +1 against a drop of at most 1, so splits stay in [0, k].
-    """
+
+def _pair_table_unit(va: Sequence[int], vb: Sequence[int]) -> list:
+    """Min-plus table of two 1-Lipschitz step tables on [0, Ka + Kb], from splits in [0, k]."""
     ka = len(va) - 1
     kb = len(vb) - 1
     out = []
@@ -137,17 +136,12 @@ def _pair_table_unit(va: Sequence[int], vb: Sequence[int]) -> list:
 
 
 def inf_conv_pair(a: ConvInput, b: ConvInput) -> StepFunction:
-    """Pairwise infimum convolution, tabulated on [0, Ka + Kb].
-
-    Every StepFunction is 1-Lipschitz, so the splits in [0, k] that
-    _pair_table_unit scans hold the minimum at every point k.
-    """
-    table = _pair_table_unit(_as_step(a).values, _as_step(b).values)
-    return StepFunction(table[0], tuple(table))
+    """Pairwise infimum convolution, tabulated on [0, Ka + Kb]: the fold of a and b."""
+    return _fold((_conv_input(a), _conv_input(b)))
 
 
 def inf_conv_n(gap_sets: Sequence[ConvInput]) -> StepFunction:
-    """Left fold of inf_conv_pair over the inputs; order does not matter.
+    """Left fold of the pairwise table over the inputs; order does not matter.
 
     The fold of each prefix of the inputs is kept, as the oracle keeps its
     prefix tables, so a later call on the same prefix starts from it; each
@@ -163,8 +157,15 @@ def inf_conv_n(gap_sets: Sequence[ConvInput]) -> StepFunction:
 # One entry per prefix of inputs; a one-input prefix is that input's table.
 @lru_cache(maxsize=2048)
 def _fold(inputs: tuple[Union[GapSet, StepFunction], ...]) -> StepFunction:
+    """The prefix's fold and the last input's table, convolved pairwise.
+
+    With both tables 1-Lipschitz, moving an argument below 0 (or above k)
+    trades a guaranteed +1 against a drop of at most 1, so the splits in
+    [0, k] that _pair_table_unit scans hold the minimum at every point k.
+    """
     if len(inputs) > 1:
-        return inf_conv_pair(_fold(inputs[:-1]), inputs[-1])
+        table = _pair_table_unit(_fold(inputs[:-1]).values, _fold(inputs[-1:]).values)
+        return StepFunction(table[0], tuple(table))
     x = inputs[0]
     return x if isinstance(x, StepFunction) else StepFunction.from_gap_set(x)
 
@@ -179,9 +180,7 @@ def inf_conv_eval(gap_sets: Sequence[ConvInput], k: int) -> int:
     """
     if type(k) is not int and not _is_int(k):
         raise ValueError(f"point must be an integer, got {k!r}")
-    sets = tuple(map(_as_gap_set, gap_sets))
-    if not sets:
-        raise ValueError("at least one input required")
+    sets = _oracle_inputs(gap_sets)
     if len(sets) == 1:
         return gap_function_eval(sets[0], k)
     xs, rs = _windows(sets, max(k, 0))
@@ -194,10 +193,7 @@ def inf_conv_table(gap_sets: Sequence[ConvInput]) -> tuple[int, ...]:
     inf_conv_eval reads the same values one point at a time; past reach the
     minimum is 0, and below 0 it is the value at 0 plus the distance below 0.
     """
-    sets = tuple(map(_as_gap_set, gap_sets))
-    if not sets:
-        raise ValueError("at least one input required")
-    return tuple(_min_table(sets))
+    return tuple(_min_table(_oracle_inputs(gap_sets)))
 
 
 def _from(table: list, lo: int) -> list:

@@ -454,15 +454,9 @@ def _bl_holds(table: int, bits: int, rows: tuple) -> bool:
 
 
 def _config_fingerprint(config: SearchConfig) -> dict:
-    return {
-        "n": config.n,
-        "max_gap_bound": config.max_gap_bound,
-        "genus_bound": config.genus_bound,
-        "semigroup_only": config.semigroup_only,
-        "require_bl": config.require_bl,
-        "shard": list(config.shard),
-        "pool": None if config.pool is None else [list(g.elements) for g in config.pool],
-    }
+    # every field, so a field added later cannot resume a different configuration
+    pool = None if config.pool is None else [list(g.elements) for g in config.pool]
+    return {**vars(config), "pool": pool}
 
 
 def _json_line(obj: dict) -> str:

@@ -545,6 +545,15 @@ class TestTopLevel:
         assert out == ""
         assert err == "internal error: internal: window minimum 4 != table value 5 at j=2\n"
 
+    def test_out_of_memory_exits_three(self, capsys, monkeypatch):
+        # exit 1 would read as "not a semigroup complement"
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr("gapkit.cli.is_semigroup_complement", exhausted)
+        code, out, err = run_cli(capsys, "gaps", "validate", "1,2")
+        assert (code, out, err) == (3, "", "internal error: out of memory\n")
+
     def test_broken_worker_pool_exits_three(self, capsys, monkeypatch):
         from concurrent.futures.process import BrokenProcessPool
 

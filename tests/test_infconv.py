@@ -18,7 +18,7 @@ from gapkit import (
     inf_conv_pair,
     inf_conv_table,
 )
-from gapkit.infconv import _as_step, _fold, _min_table, _pair_table_unit
+from gapkit.infconv import _fold, _min_table, _pair_table_unit
 
 from conftest import gap_sets
 
@@ -181,7 +181,17 @@ class TestFoldCache:
             assert inf_conv_n(inputs) == self.uncached_fold([items[i][0] for i in order])
 
     def test_one_step_function_per_gap_set(self):
-        assert _as_step(C) is _as_step(GapFunction(C)) is _as_step(GapSet((1, 2, 5, 7)))
+        assert inf_conv_n([C]) is inf_conv_n([GapFunction(C)]) is inf_conv_n([GapSet((1, 2, 5, 7))])
+
+    def test_pair_is_the_fold_of_two_inputs(self):
+        # a pair check and a two-cusp check on the same cusps share one table
+        assert inf_conv_pair(A, C) is inf_conv_n([A, C])
+        assert inf_conv_pair(GapFunction(A), GapFunction(C)) is inf_conv_n([A, C])
+
+    def test_mixed_pair_equals_the_fold(self):
+        for wrap_a, wrap_b in product(self.WRAPS, repeat=2):
+            a, b = wrap_a(B), wrap_b(C)
+            assert inf_conv_pair(a, b) == inf_conv_n([a, b]) == self.uncached_fold([B, C])
 
     def test_prefix_fold_is_kept(self):
         inf_conv_n([A, B, C])

@@ -482,6 +482,28 @@ class TestCheckpoint:
             run(self.CONFIG, checkpoint_path=str(path))
         assert path.read_bytes() == data
 
+    @pytest.mark.parametrize(
+        "config, header",
+        [
+            (
+                SearchConfig(n=3, max_gap_bound=5),
+                '{"config":{"genus_bound":null,"max_gap_bound":5,"n":3,"pool":null,'
+                '"require_bl":null,"semigroup_only":false,"shard":[0,1]}}\n',
+            ),
+            (
+                SearchConfig(n=2, pool=(GapSet((1,)), GapSet((1, 3))), require_bl=4, shard=(1, 2)),
+                '{"config":{"genus_bound":null,"max_gap_bound":null,"n":2,"pool":[[1],[1,3]],'
+                '"require_bl":4,"semigroup_only":false,"shard":[1,2]}}\n',
+            ),
+        ],
+    )
+    def test_header_holds_every_config_field(self, tmp_path, config, header):
+        # the header bytes decide whether a file resumes this configuration
+        path = tmp_path / "ck.jsonl"
+        run(config, checkpoint_path=str(path))
+        with open(path, encoding="utf-8") as fh:
+            assert fh.readline() == header
+
     def test_checkpoint_of_a_dense_run_is_small(self, tmp_path):
         # one short record per unit: 5,915 hits in 32 units
         path = tmp_path / "ck.jsonl"
