@@ -93,6 +93,7 @@ class TestInfConvPair:
         expected = inf_conv_pair(A, B)
         assert inf_conv_pair(GapFunction(A), StepFunction.from_gap_set(B)) == expected
         assert inf_conv_pair(StepFunction.from_gap_set(A), B) == expected
+        assert inf_conv_pair(A, GapFunction(B)) == inf_conv_n([A, StepFunction.from_gap_set(B)]) == expected
 
     def test_identity_with_empty_set(self):
         f = StepFunction.from_gap_set(C)
@@ -187,11 +188,6 @@ class TestFoldCache:
         # a pair check and a two-cusp check on the same cusps share one table
         assert inf_conv_pair(A, C) is inf_conv_n([A, C])
         assert inf_conv_pair(GapFunction(A), GapFunction(C)) is inf_conv_n([A, C])
-
-    def test_mixed_pair_equals_the_fold(self):
-        for wrap_a, wrap_b in product(self.WRAPS, repeat=2):
-            a, b = wrap_a(B), wrap_b(C)
-            assert inf_conv_pair(a, b) == inf_conv_n([a, b]) == self.uncached_fold([B, C])
 
     def test_prefix_fold_is_kept(self):
         inf_conv_n([A, B, C])
