@@ -9,7 +9,6 @@ synthetic division.  All arithmetic is exact; Python integers never overflow.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate
 from typing import Sequence
 
@@ -105,8 +104,6 @@ class KSequence:
         return IntPolynomial(tuple(coeffs))
 
 
-# An IntPolynomial is immutable, so each gap set's is built once and shared.
-@lru_cache(maxsize=1024)
 def alexander_from_gaps(gap_set: GapSet) -> IntPolynomial:
     """Polynomial 1 + (t-1) * sum of t^g over the gaps, expanded."""
     coeffs = [0] * (gap_set.max_gap + 2)

@@ -51,41 +51,30 @@ def _json_ready(value):
     return value
 
 
-# every integer beyond 2^53 in magnitude has at least 16 digits, and so is at least 10^15
-_SIXTEEN_DIGITS = re.compile(r"\d{16}")
-_SIXTEEN_DIGITS_MIN = 10**15
-
-
-def _cusps_json(cusps: Sequence[GapSet], texts: Optional[dict] = None) -> Optional[str]:
+def _cusps_json(cusps: Sequence[GapSet], texts: dict) -> str:
     """The items of a search line's "cusps" list, in json.dumps's layout.
 
-    None when they hold a run of 16 digits, as a gap beyond 2^53 would.
-    texts, when given, keeps each gap set's text by its elements from one call to the next.
+    texts keeps each gap set's text by its elements from one call to the next.
+    Every gap prints as a native int: a GapSet's bitmask is as wide as its largest gap.
     """
-    if texts is None:
-        texts = {}
     items = []
     for g in cusps:
         text = texts.get(g.elements)
         if text is None:
             text = texts[g.elements] = "[%s]" % ", ".join(map(str, g.elements))
         items.append(text)
-    text = ", ".join(items)
-    return None if _SIXTEEN_DIGITS.search(text) else text
+    return ", ".join(items)
 
 
-def _violation_json(violation: Violation, cusps: Optional[str] = None) -> str:
+def _violation_json(violation: Violation, cusps: str) -> str:
     """A search line: json.dumps(_json_ready(violation.to_json_dict())), formatted directly.
 
-    cusps, when given, is _cusps_json(violation.cusps), kept from an earlier line;
-    None makes it here.  A line that would hold a run of 16 digits, where
-    _json_ready may put a string, goes through json.dumps.
+    cusps is _cusps_json(violation.cusps).  A line with j, k or bound beyond
+    2^53 in magnitude, where _json_ready puts a string, goes through json.dumps.
     """
-    if cusps is None:
-        cusps = _cusps_json(violation.cusps)
     j, k, bound = violation.j, violation.k, violation.bound
-    limit = _SIXTEEN_DIGITS_MIN
-    if cusps is None or not (-limit < j < limit and -limit < k < limit and -limit < bound < limit):
+    limit = _JSON_INT_LIMIT
+    if not (-limit <= j <= limit and -limit <= k <= limit and -limit <= bound <= limit):
         return json.dumps(_json_ready(violation.to_json_dict()))
     return '{"cusps": [%s], "j": %d, "k": %d, "bound": %d}' % (cusps, j, k, bound)
 
@@ -290,7 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("poly", help='coefficients from the constant term up, e.g. "1,-1,1"')
     p.set_defaults(handler=_cmd_alex_to_gaps)
     p = alex_sub.add_parser("mul", parents=[json_flag], help="exact product")
-    p.add_argument("polys", nargs="+", help="two or more polynomials")
+    p.add_argument("polys", nargs="+", help="one or more polynomials")
     p.set_defaults(handler=_cmd_alex_mul)
 
     p = top.add_parser("expand", parents=[json_flag], help="k-coefficients of a polynomial")

@@ -86,13 +86,6 @@ class TestAlexanderFromGaps:
         # P'(1) equals the quotient of (P - 1)/(t - 1) evaluated at 1, the genus
         assert quotient(1) == gs.genus
 
-    def test_one_polynomial_per_gap_set(self):
-        # the autouse fixture empties the cache before each test
-        assert alexander_from_gaps.cache_info().currsize == 0
-        p = alexander_from_gaps(GapSet((1, 3)))
-        assert alexander_from_gaps(GapSet((3, 1))) == p == IntPolynomial((1, -1, 1, -1, 1))
-        assert alexander_from_gaps.cache_info()[:2] == (1, 1)  # one hit, one miss
-
 
 class TestGapsFromAlexander:
     def test_known_inverses(self):

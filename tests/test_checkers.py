@@ -378,7 +378,7 @@ class TestOneKRead:
 
     def test_verification_and_checks_share_the_cache(self, monkeypatch):
         calls = []
-        for name in ("poly_mul", "expand_k_sequence"):
+        for name in ("alexander_from_gaps", "poly_mul", "expand_k_sequence"):
 
             def spy(*args, name=name, real=getattr(checkers, name)):
                 calls.append(name)
@@ -386,6 +386,8 @@ class TestOneKRead:
 
             monkeypatch.setattr(checkers, name, spy)
         assert verify_violation(Violation((A, A, A), 2, 3, 2))
+        # _product((A,)) keeps A's polynomial for all three factors
+        assert calls.count("alexander_from_gaps") == 1
         calls.clear()
         check_flmn(CurveSpec(4, (A, A, A)))
         assert calls == []
