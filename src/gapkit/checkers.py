@@ -28,13 +28,22 @@ __all__ = [
     "CheckRow",
     "CheckReport",
     "validate_spec",
-    "bl_genus",
-    "bl_rows",
     "product_k_closed_form",
     "check_pair_inequality",
     "check_bl",
     "check_flmn",
 ]
+
+
+def _cusps(values) -> tuple:
+    """values as a nonempty tuple of GapSet values; ValueError otherwise."""
+    cusps = tuple(values)
+    if not cusps:
+        raise ValueError("at least one cusp required")
+    for c in cusps:
+        if not isinstance(c, GapSet):
+            raise ValueError(f"cusps must be GapSet values, got {type(c).__name__}")
+    return cusps
 
 
 @dataclass(frozen=True)
@@ -47,13 +56,7 @@ class CurveSpec:
     def __post_init__(self):
         if not _is_int(self.degree) or self.degree < 3:
             raise ValueError(f"degree must be an integer >= 3, got {self.degree!r}")
-        cusps = tuple(self.cusps)
-        if not cusps:
-            raise ValueError("at least one cusp required")
-        for c in cusps:
-            if not isinstance(c, GapSet):
-                raise ValueError(f"cusps must be GapSet values, got {type(c).__name__}")
-        object.__setattr__(self, "cusps", cusps)
+        object.__setattr__(self, "cusps", _cusps(self.cusps))
 
     @property
     def total_genus(self) -> int:
@@ -74,13 +77,7 @@ class CheckRow(NamedTuple):
         return self.lhs == self.rhs if self.relation == "==" else self.lhs <= self.rhs
 
     def to_json_dict(self) -> dict:
-        return {
-            "j": self.j,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "relation": self.relation,
-            "equal": self.equal,
-        }
+        return self._asdict()
 
 
 @dataclass(frozen=True)

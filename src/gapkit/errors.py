@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+__all__ = ["NotNumerical", "NotGapForm", "BadExpansion", "GenusMismatch", "ConfigInvalid"]
+
 
 class NotNumerical(ValueError):
     """Generators have gcd != 1, so the complement of the semigroup is infinite."""

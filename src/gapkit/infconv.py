@@ -101,12 +101,10 @@ def _conv_input(x: ConvInput) -> Union[GapSet, StepFunction]:
 
 
 def _as_gap_set(x: ConvInput) -> GapSet:
-    if type(x) is GapSet:
+    if isinstance(x, GapSet):
         return x
     if isinstance(x, GapFunction):
         return x.gap_set
-    if isinstance(x, GapSet):
-        return x
     raise TypeError(f"expected GapSet or GapFunction, got {type(x).__name__}")
 
 

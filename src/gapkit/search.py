@@ -28,7 +28,7 @@ from math import comb
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .alexpoly import alexander_from_gaps, expand_k_sequence, poly_mul  # noqa: F401  (span sites for bench/spans.py)
-from .checkers import _k_sequence, bl_rows
+from .checkers import _cusps, _k_sequence, bl_rows
 from .errors import ConfigInvalid
 from .gapset import GapFunction, GapSet, _is_int, is_semigroup_complement
 from .infconv import inf_conv_eval
@@ -108,12 +108,7 @@ class Violation:
     bound: int
 
     def __post_init__(self):
-        cusps = tuple(self.cusps)
-        if not cusps:
-            raise ValueError("at least one cusp required")
-        for g in cusps:
-            if type(g) is not GapSet and not isinstance(g, GapSet):
-                raise ValueError(f"cusps must be GapSet values, got {type(g).__name__}")
+        cusps = _cusps(self.cusps)
         j, k, bound = self.j, self.k, self.bound
         if not (type(j) is type(k) is type(bound) is int or _is_int(j) and _is_int(k) and _is_int(bound)):
             raise ValueError(f"j, k and bound must be integers, got {j!r}, {k!r}, {bound!r}")
@@ -203,12 +198,13 @@ def search_violations(
     done: dict[int, int] = {}
     out_file = None
     if checkpoint_path is not None:
-        done, intact = _load_checkpoint(checkpoint_path, _config_fingerprint(config), units)
+        header = _json_line({"config": _config_fingerprint(config)})
+        done, intact = _load_checkpoint(checkpoint_path, header, units)
         out_file = open(checkpoint_path, "a", encoding="utf-8")
         # drop a torn tail, so that the next record starts on a line of its own
         out_file.truncate(intact)
         if intact == 0:
-            out_file.write(_json_line({"config": _config_fingerprint(config)}))
+            out_file.write(header)
             out_file.flush()
 
     unit_violations = partial(_unit_violations, pool, _prep_pool(pool, config.n), config.require_bl)
@@ -463,7 +459,7 @@ def _json_line(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _load_checkpoint(path: str, fingerprint: dict, units: range) -> tuple[dict[int, int], int]:
+def _load_checkpoint(path: str, header: str, units: range) -> tuple[dict[int, int], int]:
     """The hit count of each unit the checkpoint records, and the byte length of its intact part.
 
     Only the last line can be torn by an interrupted run, so a final line with
@@ -476,15 +472,15 @@ def _load_checkpoint(path: str, fingerprint: dict, units: range) -> tuple[dict[i
     ConfigInvalid.  A missing file has no intact part.
     """
     done: dict[int, int] = {}
-    header = _json_line({"config": fingerprint}).encode()
+    expected = header.encode()
     try:
         fh = open(path, "rb")
     except FileNotFoundError:
         return done, 0
     with fh:
         first = fh.readline()
-        if first != header:
-            if header.startswith(first):
+        if first != expected:
+            if expected.startswith(first):
                 return done, 0
             raise ConfigInvalid(f"checkpoint {path} was written by a different configuration")
         intact = len(first)

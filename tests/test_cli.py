@@ -336,6 +336,20 @@ class TestSearch:
         assert path.read_bytes() == data
 
     @pytest.mark.parametrize(
+        "name, errno",
+        [("missing/ck.jsonl", 2), (".", 21)],
+        ids=["missing-directory", "a-directory"],
+    )
+    def test_checkpoint_that_cannot_be_opened_exits_two(self, capsys, tmp_path, name, errno):
+        path = tmp_path / name
+        args = ("search", "--n", "3", "--pool", self.POOL, "--checkpoint", str(path))
+        code, out, err = run_cli(capsys, *args)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: [Errno {errno}] ")
+        assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ("search", "--n", "0", "--max-gap", "3"),

@@ -172,6 +172,8 @@ class TestGapFunction:
         fn = GapFunction(GapSet((1, 3)))
         assert fn.cutoff == 4
         assert fn.table() == (2, 2, 1, 1, 0)
+        assert fn.genus == 2
         empty = GapFunction(GapSet(()))
         assert empty.cutoff == 0
         assert empty.table() == (0,)
+        assert empty.genus == 0

@@ -316,6 +316,10 @@ class TestInfConvTable:
         assert table == (3, 3, 2, 2, 1, 1, 0)
         assert _min_table((A, B)) == list(table)
         assert inf_conv_table((A, B)) == table
+        # a GapFunction reads as its gap set
+        assert inf_conv_table([GapFunction(A), GapFunction(B)]) == table
+        for k in range(-2, 8):
+            assert inf_conv_eval([GapFunction(A), B], k) == inf_conv_eval([A, B], k)
 
     @pytest.mark.parametrize("inputs", [[], [StepFunction.from_gap_set(A)], [A, 3]])
     def test_rejects_what_the_pointwise_oracle_rejects(self, inputs):

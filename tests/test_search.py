@@ -332,6 +332,15 @@ class TestScanAgainstBruteForce:
         with pytest.raises(RuntimeError, match="top bit"):
             search._scan_unit(search._prep_pool(pool, 2), 0, None)
 
+    def test_k0_mismatch_raises(self):
+        # T of the second set off by one at slot 1: U moves k_0 but not the table.
+        # The same error in the first set would move t and the table together.
+        layout = search._prep_pool((A, B), 3)
+        s, t, row0, rows = layout.sets[1]
+        bad = layout._replace(sets=(layout.sets[0], (s, t + (1 << layout.bits), row0, rows)))
+        with pytest.raises(RuntimeError, match="k_0 does not equal the convolution at 1"):
+            search._scan_unit(bad, 0, None)
+
 
 def passes_bl(degree, cusps):
     try:
@@ -431,6 +440,16 @@ class TestCheckpoint:
         scanned.clear()
         assert run(SPARSE_CONFIG, checkpoint_path=str(path)) == reference
         assert scanned == [1, 2, 3]
+
+    @pytest.mark.parametrize("cut", [10, 0, -1], ids=["ten-byte-prefix", "empty", "no-newline"])
+    def test_torn_header_starts_afresh(self, tmp_path, cut):
+        fresh = tmp_path / "fresh.jsonl"
+        reference = run(self.CONFIG, checkpoint_path=str(fresh))
+        header = fresh.read_bytes().splitlines(keepends=True)[0]
+        path = tmp_path / "ck.jsonl"
+        path.write_bytes(header[:cut])
+        assert run(self.CONFIG, checkpoint_path=str(path)) == reference
+        assert path.read_bytes() == fresh.read_bytes()
 
     def test_foreign_file_is_left_alone(self, tmp_path):
         path = tmp_path / "notes.txt"
