@@ -81,10 +81,7 @@ class SearchConfig:
         else:
             if self.max_gap_bound is None:
                 raise ConfigInvalid("either max_gap_bound or pool is required")
-            if not _is_int(self.max_gap_bound) or self.max_gap_bound < 1:
-                raise ConfigInvalid(f"max_gap_bound must be a positive integer, got {self.max_gap_bound!r}")
-            if self.genus_bound is not None and (not _is_int(self.genus_bound) or self.genus_bound < 1):
-                raise ConfigInvalid(f"genus_bound must be a positive integer, got {self.genus_bound!r}")
+            _genus_range(self.max_gap_bound, self.genus_bound)
         if self.require_bl is not None and (not _is_int(self.require_bl) or self.require_bl < 3):
             raise ConfigInvalid(f"require_bl must be a degree >= 3, got {self.require_bl!r}")
         shard = tuple(self.shard)
@@ -147,22 +144,28 @@ def enumerate_gap_sets(
     """All subsets of {1..max_gap_bound} passing the filters, by genus then lex.
 
     A genus bound caps the genus at genus_bound and drops the empty set; with
-    no bound every genus from 0 up to max_gap_bound appears.
+    no bound every genus from 0 up to max_gap_bound appears.  Bad bounds raise
+    ConfigInvalid here, at the call, not at the first item.
     """
+    genera = _genus_range(max_gap_bound, genus_bound)
+    gaps = range(1, max_gap_bound + 1)
+    return (
+        gap_set
+        for genus in genera
+        for gap_set in map(GapSet, combinations(gaps, genus))
+        if not semigroup_only or is_semigroup_complement(gap_set)
+    )
+
+
+def _genus_range(max_gap_bound: int, genus_bound: Optional[int]) -> range:
+    """The genera enumerate_gap_sets walks; a bound that is not a positive integer raises ConfigInvalid."""
     if not _is_int(max_gap_bound) or max_gap_bound < 1:
-        raise ValueError(f"max_gap_bound must be a positive integer, got {max_gap_bound!r}")
+        raise ConfigInvalid(f"max_gap_bound must be a positive integer, got {max_gap_bound!r}")
     if genus_bound is None:
-        genus_range = range(max_gap_bound + 1)
-    else:
-        if not _is_int(genus_bound) or genus_bound < 1:
-            raise ValueError(f"genus_bound must be a positive integer, got {genus_bound!r}")
-        genus_range = range(1, min(genus_bound, max_gap_bound) + 1)
-    for genus in genus_range:
-        for combo in combinations(range(1, max_gap_bound + 1), genus):
-            gap_set = GapSet(combo)
-            if semigroup_only and not is_semigroup_complement(gap_set):
-                continue
-            yield gap_set
+        return range(max_gap_bound + 1)
+    if not _is_int(genus_bound) or genus_bound < 1:
+        raise ConfigInvalid(f"genus_bound must be a positive integer, got {genus_bound!r}")
+    return range(1, min(genus_bound, max_gap_bound) + 1)
 
 
 def verify_violation(violation: Violation) -> bool:
@@ -191,29 +194,33 @@ def search_violations(
     """
     if not _is_int(workers) or workers < 1:
         raise ConfigInvalid(f"workers must be at least 1, got {workers!r}")
-    pool = _resolved_pool(config)
+    pool = config.pool or tuple(
+        enumerate_gap_sets(config.max_gap_bound, config.genus_bound, config.semigroup_only)
+    )
     shard_index, shard_count = config.shard
     units = range(shard_index, len(pool), shard_count)
 
     done: dict[int, int] = {}
-    out_file = None
     if checkpoint_path is not None:
-        header = _json_line({"config": _config_fingerprint(config)})
+        # every field, so a field added later cannot resume a different configuration
+        fields = {**vars(config), "pool": config.pool and [list(g.elements) for g in pool]}
+        header = _json_line({"config": fields})
         done, intact = _load_checkpoint(checkpoint_path, header, units)
-        out_file = open(checkpoint_path, "a", encoding="utf-8")
-        # drop a torn tail, so that the next record starts on a line of its own
-        out_file.truncate(intact)
-        if intact == 0:
-            out_file.write(header)
-            out_file.flush()
 
     unit_violations = partial(_unit_violations, pool, _prep_pool(pool, config.n), config.require_bl)
     # a record is trusted for one thing only: that its unit had no hits
     todo = [i for i in units if done.get(i) != 0]
     # a pool forks every worker at the first submit, so start no more than there are units
     workers = min(workers, len(todo))
-    executor = None
+    out_file = executor = None
     try:
+        if checkpoint_path is not None:
+            out_file = open(checkpoint_path, "a", encoding="utf-8")
+            # drop a torn tail, so that the next record starts on a line of its own
+            out_file.truncate(intact)
+            if intact == 0:
+                out_file.write(header)
+                out_file.flush()
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
 
@@ -253,14 +260,6 @@ def _in_order(executor, fn, tasks: list, window: int) -> Iterator:
         result = pending.popleft().result()
         pending.extend(executor.submit(fn, task) for task in islice(tasks, 1))
         yield result
-
-
-def _resolved_pool(config: SearchConfig) -> tuple[GapSet, ...]:
-    if config.pool is not None:
-        return config.pool
-    return tuple(
-        enumerate_gap_sets(config.max_gap_bound, config.genus_bound, config.semigroup_only)
-    )
 
 
 def _unit_violations(pool: tuple, layout: _Layout, require_bl: Optional[int], unit: int) -> list:
@@ -303,7 +302,7 @@ class _Layout(NamedTuple):
 def _slot_bits(pool: Sequence[GapSet], n: int) -> int:
     """Slot width: every slot value the scan forms stays below 2**(bits - 1).
 
-    With G the largest genus, the prefix sums t of the sets' T and the
+    With G the largest genus, the prefix sums w of the sets' T and the
     convolution tables stay at most n*G, and e_k(S_1..S_n) has coefficients
     at most C(n,k)*G^(k-1).  The sum pos is U + e_2 + sum over k >= 3 of e_k
     times the even-parity part of (t-1)^(k-2), whose coefficients add up to
@@ -370,9 +369,9 @@ def _scan_unit(layout: _Layout, first: int, require_bl: Optional[int]) -> list:
     """All violations among multisets whose smallest pool index is `first`.
 
     Depth-first over nondecreasing index tuples `at`.  Each prefix carries,
-    packed, e_1..e_n of its gap polynomials, t (the sum of the sets' T) and
-    its convolution table, so each prefix is computed once; slot 0 of t and
-    of the table is the genus sum, and U = t >> bits sums I_c(j+1).  With
+    packed, e_1..e_n of its gap polynomials, w (the sum of the sets' T) and
+    its convolution table, so each prefix is computed once; slot 0 of w and
+    of the table is the genus sum, and U = w >> bits sums I_c(j+1).  With
     every cusp polynomial 1 + (t-1) S_c, the product is the sum of
     e_k (t-1)^k, and K = U + e_2 + (t-1) e_3 + (t-1)^2 e_4 + ...  K may go
     negative, so a leaf compares two nonnegative sums instead: pos (U, e_2
@@ -385,10 +384,10 @@ def _scan_unit(layout: _Layout, first: int, require_bl: Optional[int]) -> list:
     found = []
     bl = None if require_bl is None else bl_rows(require_bl)
 
-    def leaf(es: list, t: int, table: int, at: tuple) -> None:
+    def leaf(es: list, w: int, table: int, at: tuple) -> None:
         if bl is not None and not _bl_holds(table, bits, bl):
             return
-        pos = (t >> bits) + es[2]
+        pos = (w >> bits) + es[2]
         rhs = table >> bits
         for k, even, odd in tails:
             pos += es[k] * even
@@ -408,10 +407,10 @@ def _scan_unit(layout: _Layout, first: int, require_bl: Optional[int]) -> list:
             kj = (pos >> bits * j & mask) - (rhs >> bits * j & mask) + bound
             found.append((at, j, kj, bound))
 
-    def descend(es: list, t: int, table: int, at: tuple) -> None:
+    def descend(es: list, w: int, table: int, at: tuple) -> None:
         depth = len(at)
         if depth == n:
-            leaf(es, t, table, at)
+            leaf(es, w, table, at)
             return
         for idx in range(at[-1], len(sets)):
             s, t_c, row0, rows = sets[idx]
@@ -426,7 +425,7 @@ def _scan_unit(layout: _Layout, first: int, require_bl: Optional[int]) -> list:
                 diff = (new | high) - row
                 ge = diff & high
                 new -= diff & (ge - (ge >> below_top))
-            descend(grown, t + t_c, new, at + (idx,))
+            descend(grown, w + t_c, new, at + (idx,))
 
     s, table, _, _ = sets[first]
     # e_0..e_n, and an e_2 = 0 that a single set needs at its leaf
@@ -447,12 +446,6 @@ def _bl_holds(table: int, bits: int, rows: tuple) -> bool:
         if lhs != target:
             return False
     return True
-
-
-def _config_fingerprint(config: SearchConfig) -> dict:
-    # every field, so a field added later cannot resume a different configuration
-    pool = None if config.pool is None else [list(g.elements) for g in config.pool]
-    return {**vars(config), "pool": pool}
 
 
 def _json_line(obj: dict) -> str:

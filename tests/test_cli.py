@@ -439,6 +439,37 @@ class TestSearchStreamBytes:
         assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 
+class TestSearchResumes:
+    """A checkpointed run, then its serial and two-worker resumes, each print the pinned stream."""
+
+    @pytest.mark.parametrize(
+        "flags, digest",
+        [
+            (
+                # the resume skips 1 of 64 units
+                ("--n", "3", "--max-gap", "6", "--json"),
+                "954bf990bf9edfeb06ca46366028a441cb12c6e0b2df38827ad0daeeee1f227d",
+            ),
+            (
+                # hits in 11 of 64 units, so the resume skips 53
+                ("--n", "3", "--require-bl", "5", "--max-gap", "6", "--json"),
+                "cdb500707a6a593d7d65f99d98895250744cfbadec2cfc7d10bf6575edaf258d",
+            ),
+        ],
+        ids=["max-gap-6", "require-bl-5"],
+    )
+    def test_resumes_give_the_pinned_stream(self, tmp_path, flags, digest):
+        path = tmp_path / "ck.jsonl"
+        argv = [sys.executable, "-m", "gapkit.cli", "search", *flags, "--checkpoint", str(path)]
+        runs = {"first": [], "serial": [], "workers": ["--workers", "2"]}
+        for run, extra in runs.items():
+            proc = subprocess.run(argv + extra, capture_output=True)
+            assert (proc.returncode, proc.stderr) == (1, b""), run
+            assert hashlib.sha256(proc.stdout).hexdigest() == digest, run
+        # a record holds a unit's hit count, not its hits
+        assert path.stat().st_size <= 4096
+
+
 # Integers on both sides of 2^53, with exactly 15, 16 and 17 digits among them.
 EDGE_INTS = st.sampled_from(
     [2**53 - 1, 2**53, 2**53 + 1, 10**15 - 1, 10**15, 10**16 - 1, 10**16, 10**17]
@@ -573,6 +604,31 @@ class TestTopLevel:
         code, out, err = run_cli(capsys, "gaps", "validate", "1,2")
         assert (code, out, err) == (3, "", "internal error: out of memory\n")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("gaps", "validate", "1000000000000000"),
+            # no GapSet holds a gap near 2^53, so every search line prints its gaps as ints
+            ("search", "--n", "1", "--pool", "1000000000000000", "--json"),
+        ],
+        ids=["gaps-validate", "search"],
+    )
+    def test_real_allocation_failure_exits_three(self, argv):
+        # a 10^15-bit gap mask cannot be allocated under a 10^9-byte address-space cap
+        resource = pytest.importorskip("resource")
+        limit = 10**9
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "gapkit.cli", *argv],
+            capture_output=True,
+            preexec_fn=cap_address_space,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (3, b"", b"internal error: out of memory\n")
+
     def test_broken_worker_pool_exits_three(self, capsys, monkeypatch):
         from concurrent.futures.process import BrokenProcessPool
 
@@ -598,11 +654,11 @@ class TestTopLevel:
         # 5,915 lines, far more than a pipe holds, so the child is still writing
         argv = [sys.executable, "-m", "gapkit.cli", "search", "--n", "3", "--max-gap", "5", "--json"]
         for workers in ([], ["--workers", "2"]):
-            proc = subprocess.Popen(argv + workers, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-            assert proc.stdout.readline().startswith(b'{"cusps"')
-            proc.stdout.close()
-            err = proc.stderr.read()
-            assert proc.wait(timeout=60) == 141, workers
+            with subprocess.Popen(argv + workers, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+                assert proc.stdout.readline().startswith(b'{"cusps"')
+                proc.stdout.close()
+                err = proc.stderr.read()
+                assert proc.wait(timeout=60) == 141, workers
             assert err == b"", workers
 
     def test_resumed_workers_exit_quietly(self, tmp_path):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import json
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from functools import reduce
 from itertools import combinations_with_replacement
@@ -81,6 +83,16 @@ class TestEnumerateGapSets:
     def test_bool_genus_bound_rejected(self):
         with pytest.raises(ValueError):
             list(enumerate_gap_sets(3, genus_bound=True))
+
+    @pytest.mark.parametrize(
+        "args, kwargs",
+        [((0,), {}), ((3,), {"genus_bound": 0}), ((3,), {"genus_bound": True})],
+        ids=["max-gap-0", "genus-0", "genus-bool"],
+    )
+    def test_bad_bounds_raise_at_the_call(self, args, kwargs):
+        # not at the first item: the call alone raises, with SearchConfig's message
+        with pytest.raises(ConfigInvalid, match="must be a positive integer"):
+            enumerate_gap_sets(*args, **kwargs)
 
 
 class TestSearchConfig:
@@ -239,6 +251,20 @@ class TestSearchViolations:
         path = tmp_path / "ck.jsonl"
         with pytest.raises(ConfigInvalid, match="workers"):
             run(SearchConfig(n=3, pool=TRIPLE_POOL), checkpoint_path=str(path), workers=workers)
+        assert not path.exists()
+
+    def test_failed_layout_leaves_no_open_checkpoint(self, tmp_path, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr("gapkit.search._prep_pool", exhausted)
+        path = tmp_path / "ck.jsonl"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(MemoryError):
+                run(SearchConfig(n=2, max_gap_bound=3), checkpoint_path=str(path))
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
         assert not path.exists()
 
 
