@@ -198,7 +198,7 @@ def check_pair_inequality(G: GapSet, H: GapSet) -> CheckReport:
     verdict would contradict the inequality's proof for arbitrary finite sets,
     so it indicates an implementation bug; it is still reported faithfully.
     """
-    ks = _k_sequence((G, H))
+    ks = _k_sequence(_cusps((G, H)))
     conv = _checked(inf_conv_pair(G, H), (G, H))
     rows = tuple(_row(j, ks.at(j), conv(j + 1), "<=") for j in range(G.max_gap + H.max_gap + 2))
     return CheckReport.build("pair", rows, _fail_witness(rows))

@@ -213,11 +213,9 @@ def _cmd_search(args) -> int:
         pool=pool,
     )
     write = sys.stdout.write
-    found = 0
     last = None
     texts: dict = {}
     for violation in search_violations(config, checkpoint_path=args.checkpoint, workers=args.workers):
-        found += 1
         # a multiset's hits come one after another, so its cusps text is made once,
         # from the texts of its gap sets, each made once per run
         if violation.cusps != last:
@@ -230,7 +228,7 @@ def _cmd_search(args) -> int:
             write(_violation_json(violation, cusps) + "\n")
         else:
             write(f"{cusps} j={violation.j} k={violation.k} bound={violation.bound}\n")
-    return 1 if found else 0
+    return 0 if last is None else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -331,14 +329,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code = args.handler(args)
         sys.stdout.flush()
         return code
-    except ValueError as exc:  # every gapkit input error is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except BrokenPipeError:
         # the reader is gone; point stdout at devnull so the exit flush stays quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # an input error: gapkit raises ValueError, a file OSError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:  # BrokenProcessPool is a RuntimeError too

@@ -100,19 +100,14 @@ def _conv_input(x: ConvInput) -> Union[GapSet, StepFunction]:
     raise TypeError(f"expected GapSet, GapFunction, or StepFunction, got {type(x).__name__}")
 
 
-def _as_gap_set(x: ConvInput) -> GapSet:
-    if isinstance(x, GapSet):
-        return x
-    if isinstance(x, GapFunction):
-        return x.gap_set
-    raise TypeError(f"expected GapSet or GapFunction, got {type(x).__name__}")
-
-
 def _oracle_inputs(gap_sets: Sequence[ConvInput]) -> tuple[GapSet, ...]:
     """The oracle's inputs as gap sets; a StepFunction or no input at all is rejected."""
-    sets = tuple(map(_as_gap_set, gap_sets))
+    sets = tuple(x.gap_set if isinstance(x, GapFunction) else x for x in gap_sets)
     if not sets:
         raise ValueError("at least one input required")
+    for x in sets:
+        if not isinstance(x, GapSet):
+            raise TypeError(f"expected GapSet or GapFunction, got {type(x).__name__}")
     return sets
 
 

@@ -64,6 +64,9 @@ class SearchConfig:
     def __post_init__(self):
         if not _is_int(self.n) or self.n < 1:
             raise ConfigInvalid(f"n must be a positive integer, got {self.n!r}")
+        # the value goes into a checkpoint's header as it is, so 1 would not resume a True run
+        if type(self.semigroup_only) is not bool:
+            raise ConfigInvalid(f"semigroup_only must be a bool, got {self.semigroup_only!r}")
         if self.pool is not None:
             pool = tuple(self.pool)
             if not pool:
@@ -191,6 +194,7 @@ def search_violations(
     rest again; a new count that differs from its record raises RuntimeError
     before any hit of that unit is yielded.  Workers scan, build and re-verify
     their own units; they change only the wall time, never the output.
+    A bad argument or checkpoint raises at the call; only the generator appends or forks.
     """
     if not _is_int(workers) or workers < 1:
         raise ConfigInvalid(f"workers must be at least 1, got {workers!r}")
@@ -212,37 +216,41 @@ def search_violations(
     todo = [i for i in units if done.get(i) != 0]
     # a pool forks every worker at the first submit, so start no more than there are units
     workers = min(workers, len(todo))
-    out_file = executor = None
-    try:
-        if checkpoint_path is not None:
-            out_file = open(checkpoint_path, "a", encoding="utf-8")
-            # drop a torn tail, so that the next record starts on a line of its own
-            out_file.truncate(intact)
-            if intact == 0:
-                out_file.write(header)
-                out_file.flush()
-        if workers > 1:
-            from concurrent.futures import ProcessPoolExecutor
 
-            executor = ProcessPoolExecutor(max_workers=workers)
-            results = _in_order(executor, unit_violations, todo, _UNITS_PER_WORKER * workers)
-        else:
-            results = map(unit_violations, todo)
+    def stream() -> Iterator[Violation]:
+        out_file = executor = None
+        try:
+            if checkpoint_path is not None:
+                out_file = open(checkpoint_path, "a", encoding="utf-8")
+                # drop a torn tail, so that the next record starts on a line of its own
+                out_file.truncate(intact)
+                if intact == 0:
+                    out_file.write(header)
+                    out_file.flush()
+            if workers > 1:
+                from concurrent.futures import ProcessPoolExecutor
 
-        for i, violations in zip(todo, results):
-            if i in done:
-                if len(violations) != done[i]:
-                    raise RuntimeError(f"internal: unit {i} has {len(violations)} hits, recorded {done[i]}")
-            elif out_file is not None:
-                out_file.write(_json_line({"hits": len(violations), "unit": i}))
-                out_file.flush()
-            yield from violations
-    finally:
-        if executor is not None:
-            # waiting lets the pool's manager thread end before the interpreter does
-            executor.shutdown(wait=True, cancel_futures=True)
-        if out_file is not None:
-            out_file.close()
+                executor = ProcessPoolExecutor(max_workers=workers)
+                results = _in_order(executor, unit_violations, todo, _UNITS_PER_WORKER * workers)
+            else:
+                results = map(unit_violations, todo)
+
+            for i, violations in zip(todo, results):
+                if i in done:
+                    if len(violations) != done[i]:
+                        raise RuntimeError(f"internal: unit {i} has {len(violations)} hits, recorded {done[i]}")
+                elif out_file is not None:
+                    out_file.write(_json_line({"hits": len(violations), "unit": i}))
+                    out_file.flush()
+                yield from violations
+        finally:
+            if executor is not None:
+                # waiting lets the pool's manager thread end before the interpreter does
+                executor.shutdown(wait=True, cancel_futures=True)
+            if out_file is not None:
+                out_file.close()
+
+    return stream()
 
 
 # -- internals ------------------------------------------------------------------

@@ -226,6 +226,14 @@ class TestCheckPairInequality:
         with pytest.raises(RuntimeError, match="direct minimization"):
             check_pair_inequality(A, B)
 
+    @pytest.mark.parametrize("other", ["x", [1, 3]])
+    def test_non_gap_set_rejected(self, other):
+        message = f"cusps must be GapSet values, got {type(other).__name__}"
+        with pytest.raises(ValueError, match=message):
+            check_pair_inequality(A, other)
+        with pytest.raises(ValueError, match=message):
+            check_pair_inequality(other, A)
+
 
 class TestCheckBl:
     def test_single_cusp_degree_three(self):

@@ -125,6 +125,12 @@ class TestSearchConfig:
         with pytest.raises(ConfigInvalid):
             SearchConfig(**kwargs)
 
+    @pytest.mark.parametrize("value", ["no", 1])
+    def test_semigroup_only_must_be_a_bool(self, value):
+        # a truthy non-bool used to turn the filter on, and 1 wrote a header a True run refuses
+        with pytest.raises(ConfigInvalid, match=f"semigroup_only must be a bool, got {value!r}"):
+            SearchConfig(n=3, max_gap_bound=5, semigroup_only=value)
+
 
 class TestViolation:
     def test_cusps_sorted_canonically(self):
@@ -252,6 +258,10 @@ class TestSearchViolations:
         with pytest.raises(ConfigInvalid, match="workers"):
             run(SearchConfig(n=3, pool=TRIPLE_POOL), checkpoint_path=str(path), workers=workers)
         assert not path.exists()
+
+    def test_invalid_workers_raise_at_the_call(self):
+        with pytest.raises(ConfigInvalid, match="workers must be at least 1, got 0"):
+            search_violations(SearchConfig(n=2, max_gap_bound=2), workers=0)
 
     def test_failed_layout_leaves_no_open_checkpoint(self, tmp_path, monkeypatch):
         def exhausted(*args):
@@ -483,6 +493,18 @@ class TestCheckpoint:
         with pytest.raises(ConfigInvalid, match="different configuration"):
             run(self.CONFIG, checkpoint_path=str(path))
         assert path.read_text(encoding="utf-8") == "not a checkpoint\n"
+
+    @pytest.mark.parametrize("other", ["text", "configuration"])
+    def test_foreign_file_raises_at_the_call(self, tmp_path, other):
+        path = tmp_path / "ck.jsonl"
+        if other == "text":
+            path.write_text("not a checkpoint\n", encoding="utf-8")
+        else:
+            run(SearchConfig(n=2, pool=TRIPLE_POOL), checkpoint_path=str(path))
+        data = path.read_bytes()
+        with pytest.raises(ConfigInvalid, match="different configuration"):
+            search_violations(self.CONFIG, checkpoint_path=str(path))
+        assert path.read_bytes() == data
 
     @pytest.mark.parametrize(
         "record",
