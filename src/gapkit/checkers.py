@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import NamedTuple, Optional
 
 from .alexpoly import IntPolynomial, KSequence, alexander_from_gaps, expand_k_sequence, poly_mul
@@ -60,7 +61,7 @@ class CurveSpec:
 
     @property
     def total_genus(self) -> int:
-        return sum(c.genus for c in self.cusps)
+        return sum([c.genus for c in self.cusps])
 
 
 class CheckRow(NamedTuple):
@@ -74,7 +75,7 @@ class CheckRow(NamedTuple):
 
     @property
     def satisfied(self) -> bool:
-        return self.lhs == self.rhs if self.relation == "==" else self.lhs <= self.rhs
+        return _first_failing((self,)) is None
 
     def to_json_dict(self) -> dict:
         return self._asdict()
@@ -90,14 +91,13 @@ class CheckReport:
     witness: Optional[dict] = None
 
     def __post_init__(self):
-        expected = "pass" if all(r.satisfied for r in self.rows) else "fail"
+        expected = "pass" if _first_failing(self.rows) is None else "fail"
         if self.verdict != expected:
             raise ValueError(f"verdict {self.verdict!r} inconsistent with rows ({expected})")
 
     @classmethod
     def build(cls, check: str, rows: tuple[CheckRow, ...], witness: Optional[dict] = None):
-        verdict = "pass" if all(r.satisfied for r in rows) else "fail"
-        return cls(check, verdict, rows, witness)
+        return cls(check, "pass" if _first_failing(rows) is None else "fail", rows, witness)
 
     @property
     def passed(self) -> bool:
@@ -112,8 +112,22 @@ class CheckReport:
         }
 
 
-def _row(j: int, lhs: int, rhs: int, relation: str) -> CheckRow:
-    return CheckRow(j, lhs, rhs, relation, lhs == rhs)
+def _first_failing(rows) -> Optional[CheckRow]:
+    """The first row that does not hold (lhs == rhs for "==", lhs <= rhs otherwise), or None."""
+    for row in rows:
+        if row.lhs > row.rhs or row.relation == "==" and row.lhs != row.rhs:
+            return row
+    return None
+
+
+def _rows(js, lhs, rhs, relation: str) -> tuple[CheckRow, ...]:
+    """Rows made as plain tuples of the row type, without NamedTuple's Python-level __new__."""
+    return tuple([tuple.__new__(CheckRow, (j, x, y, relation, x == y)) for j, x, y in zip(js, lhs, rhs)])
+
+
+def _padded(values: tuple, end: int) -> tuple:
+    """values on [0, end), read as StepFunction and KSequence read them: 0 past their end."""
+    return (values + (0,) * end)[:end]
 
 
 # The search verifies each multiset's violations together and runs through multisets
@@ -131,11 +145,11 @@ def _product(cusps: tuple[GapSet, ...]) -> IntPolynomial:
     return poly_mul(_product(cusps[:-1]), _product(cusps[-1:]))
 
 
-def _checked(conv: StepFunction, cusps: tuple[GapSet, ...]) -> StepFunction:
-    """conv, once the oracle's table for the cusps equals its values at every point.
+def _checked(conv: StepFunction, cusps: tuple[GapSet, ...]) -> tuple[int, ...]:
+    """conv's values, once the oracle's table for the cusps equals them at every point.
 
-    Both are 0 past their end.  Below 0 both routes take the value at 0 plus the
-    distance below 0, so agreeing on [0, reach] they agree at every point.
+    Both are 0 past their end, so both are padded to the longer.  Below 0 both routes
+    take the value at 0 plus the distance, so agreeing on [0, reach] they agree everywhere.
     """
     values, direct = conv.values, inf_conv_table(cusps)
     values += (0,) * (len(direct) - len(values))
@@ -145,14 +159,11 @@ def _checked(conv: StepFunction, cusps: tuple[GapSet, ...]) -> StepFunction:
         raise RuntimeError(
             f"internal: direct minimization {direct[k]} != fold value {values[k]} at k={k}"
         )
-    return conv
+    return values
 
 
 def _fail_witness(rows) -> Optional[dict]:
-    for r in rows:
-        if not r.satisfied:
-            return {"j": r.j}
-    return None
+    return None if (first := _first_failing(rows)) is None else {"j": first.j}
 
 
 def bl_genus(degree: int) -> int:
@@ -160,6 +171,7 @@ def bl_genus(degree: int) -> int:
     return (degree - 1) * (degree - 2) // 2
 
 
+@lru_cache(maxsize=64)
 def bl_rows(degree: int) -> tuple[tuple[int, int, int], ...]:
     """The bl identity at degree d: (j, jd+1, (j-d+1)(j-d+2)/2) for j in [-1, d-2].
 
@@ -198,18 +210,21 @@ def check_pair_inequality(G: GapSet, H: GapSet) -> CheckReport:
     verdict would contradict the inequality's proof for arbitrary finite sets,
     so it indicates an implementation bug; it is still reported faithfully.
     """
-    ks = _k_sequence(_cusps((G, H)))
-    conv = _checked(inf_conv_pair(G, H), (G, H))
-    rows = tuple(_row(j, ks.at(j), conv(j + 1), "<=") for j in range(G.max_gap + H.max_gap + 2))
-    return CheckReport.build("pair", rows, _fail_witness(rows))
+    ks = _k_sequence(_cusps((G, H))).ks
+    values = _checked(inf_conv_pair(G, H), (G, H))
+    n = G.max_gap + H.max_gap + 2
+    rows = _rows(range(n), _padded(ks, n), _padded(values, n + 1)[1:], "<=")
+    return CheckReport("pair", "fail" if (w := _fail_witness(rows)) else "pass", rows, w)
 
 
 def check_bl(spec: CurveSpec) -> CheckReport:
     """Compare the n-ary convolution at jd+1 with (j-d+1)(j-d+2)/2, j in [-1, d-2]."""
     validate_spec(spec)
-    conv = _checked(inf_conv_n(spec.cusps), spec.cusps)
-    rows = tuple(_row(j, conv(point), target, "==") for j, point, target in bl_rows(spec.degree))
-    return CheckReport.build("bl", rows, _fail_witness(rows))
+    d = spec.degree
+    values = _padded(_checked(inf_conv_n(spec.cusps), spec.cusps), d * (d - 2) + 2)
+    js, points, targets = zip(*bl_rows(d))
+    rows = _rows(js, [values[p] if p >= 0 else values[0] - p for p in points], targets, "==")
+    return CheckReport("bl", "fail" if (w := _fail_witness(rows)) else "pass", rows, w)
 
 
 def check_flmn(spec: CurveSpec) -> CheckReport:
@@ -218,22 +233,17 @@ def check_flmn(spec: CurveSpec) -> CheckReport:
     Two rows per index: the binomial bound (j+1)(j+2)/2, then the convolution
     bound I(d(d-j-3)+1).  For a single cusp the report's witness also records
     whether the binomial bound is attained with equality at every index.
-    k comes from _k_sequence alone; the convolution is the fold, compared with
-    the oracle at every point.
     """
     validate_spec(spec)
     d = spec.degree
-    ks = _k_sequence(spec.cusps)
-    conv = _checked(inf_conv_n(spec.cusps), spec.cusps)
-    rows = []
-    for j in range(d - 2):
-        m = d * (d - j - 3)
-        k_m = ks.at(m)
-        rows.append(_row(j, k_m, (j + 1) * (j + 2) // 2, "<="))
-        rows.append(_row(j, k_m, conv(m + 1), "<="))
-    rows = tuple(rows)
+    ks = _padded(_k_sequence(spec.cusps).ks, d * (d - 3) + 1)
+    values = _padded(_checked(inf_conv_n(spec.cusps), spec.cusps), d * (d - 3) + 2)
+    js = range(d - 2)
+    # m = d(d-j-3) for j in js: from d(d-3) down to 0 in steps of d
+    k_m, conv = ks[::-d], values[-1::-d]
+    binomial = _rows(js, k_m, [(j + 1) * (j + 2) // 2 for j in js], "<=")
+    rows = tuple(chain.from_iterable(zip(binomial, _rows(js, k_m, conv, "<="))))
     witness = _fail_witness(rows) or {}
     if len(spec.cusps) == 1:
-        # the even rows hold the binomial bound
-        witness["single_cusp_equality"] = all(r.equal for r in rows[::2])
-    return CheckReport.build("flmn", rows, witness or None)
+        witness["single_cusp_equality"] = all(r.equal for r in binomial)
+    return CheckReport("flmn", "fail" if "j" in witness else "pass", rows, witness or None)

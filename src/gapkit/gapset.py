@@ -45,8 +45,11 @@ class GapSet:
         object.__setattr__(self, "_mask", mask)
 
     def __hash__(self) -> int:
-        # equal sets have equal masks; cheaper than hashing the elements tuple
+        # equal sets have equal masks; cheaper than hashing or comparing the elements tuple
         return hash(self._mask)
+
+    def __eq__(self, other: object) -> bool:
+        return self._mask == other._mask if other.__class__ is self.__class__ else NotImplemented
 
     @property
     def genus(self) -> int:
@@ -141,6 +144,8 @@ def gap_function_eval(gap_set: GapSet, m: int) -> int:
 
     Closed form genus - m for m <= 0; above 0, the set bits of the mask from m up.
     """
+    if not isinstance(gap_set, GapSet):
+        raise TypeError(f"expected GapSet, got {type(gap_set).__name__}")
     if type(m) is not int and not _is_int(m):
         raise ValueError(f"point must be an integer, got {m!r}")
     return gap_set.genus - m if m <= 0 else (gap_set._mask >> m).bit_count()
@@ -151,6 +156,10 @@ class GapFunction:
     """Callable view of a gap set's counting function."""
 
     gap_set: GapSet
+
+    def __post_init__(self):
+        if not isinstance(self.gap_set, GapSet):
+            raise TypeError(f"expected GapSet, got {type(self.gap_set).__name__}")
 
     def __call__(self, m: int) -> int:
         return gap_function_eval(self.gap_set, m)

@@ -20,9 +20,11 @@ them is still a check of one against the other.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, sub
+from sys import byteorder
 from typing import Sequence, Union
 
 from .gapset import GapFunction, GapSet, _is_int, gap_function_eval
@@ -102,7 +104,7 @@ def _conv_input(x: ConvInput) -> Union[GapSet, StepFunction]:
 
 def _oracle_inputs(gap_sets: Sequence[ConvInput]) -> tuple[GapSet, ...]:
     """The oracle's inputs as gap sets; a StepFunction or no input at all is rejected."""
-    sets = tuple(x.gap_set if isinstance(x, GapFunction) else x for x in gap_sets)
+    sets = tuple([x.gap_set if isinstance(x, GapFunction) else x for x in gap_sets])
     if not sets:
         raise ValueError("at least one input required")
     for x in sets:
@@ -112,20 +114,25 @@ def _oracle_inputs(gap_sets: Sequence[ConvInput]) -> tuple[GapSet, ...]:
 
 
 def _pair_table_unit(va: Sequence[int], vb: Sequence[int]) -> list:
-    """Min-plus table of two 1-Lipschitz step tables on [0, Ka + Kb], from splits in [0, k]."""
-    ka = len(va) - 1
-    kb = len(vb) - 1
-    out = []
-    for k in range(ka + kb + 1):
-        lo = k - kb if k > kb else 0
-        hi = ka if ka < k else k
-        best = va[lo] + vb[k - lo]
-        for x in range(lo + 1, hi + 1):
-            v = va[x] + vb[k - x]
-            if v < best:
-                best = v
-        out.append(best)
-    return out
+    """Min-plus table of two 1-Lipschitz step tables ending at 0, on [0, Ka + Kb].
+
+    Packed (SWAR): slot k holds the value at k in 1, 2, 4 or 8 bytes, the fewest that keep
+    va[0] + vb[0], the bound on every sum, below the top bit.  Row y, the longer table from
+    slot y plus the shorter's entry y (its zero tail too), fills the slots below y with the
+    top bit; where (table | high) - row keeps a slot's top bit, table >= row takes row's.
+    """
+    va, vb = (va, vb) if len(va) >= len(vb) else (vb, va)
+    log = ((va[0] + vb[0]).bit_length() // 8).bit_length()
+    code, bits, n = "BHIQ"[log], 8 << log, len(va) + len(vb) - 1
+    ones = ((1 << bits * n) - 1) // ((1 << bits) - 1)
+    high, top = ones << bits - 1, bits - 1
+    a = int.from_bytes(array(code, va).tobytes(), byteorder)
+    table = a + vb[0] * ones
+    for y in range(1, len(vb)):
+        diff = (table | high) - ((a + vb[y] * ones << bits * y) | high >> bits * (n - y))
+        ge = diff & high
+        table -= diff & ge - (ge >> top)
+    return array(code, table.to_bytes(n * bits // 8, byteorder)).tolist()
 
 
 def inf_conv_pair(a: ConvInput, b: ConvInput) -> StepFunction:

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from gapkit import GapSet, alexpoly, checkers, cli, gapset, infconv, search
 
-# Every lru_cache in gapkit: _min_table and _fold in infconv, _k_sequence and
-# _product in checkers.
+# Every lru_cache in gapkit: _min_table and _fold in infconv, _k_sequence,
+# _product and bl_rows in checkers.
 GAPKIT_CACHES = [
     value
     for module in (alexpoly, checkers, cli, gapset, infconv, search)

@@ -6,7 +6,7 @@ import re
 
 import jsonschema
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from gapkit import (
     CheckReport,
@@ -115,6 +115,92 @@ CROSS_CHECKED = {
     "bl": ("inf_conv_n", lambda: check_bl(CurveSpec(4, (A, A, A))), {0, 1, 5}, 3, -1),
     "flmn": ("inf_conv_n", lambda: check_flmn(CurveSpec(4, (A, A, A))), {1, 5}, 3, -1),
 }
+
+
+@st.composite
+def curve_specs(draw, max_degree: int = 6):
+    """A degree and cusps whose genera add up to its bl genus (d-1)(d-2)/2."""
+    degree = draw(st.integers(min_value=3, max_value=max_degree))
+    cusps, left = [], checkers.bl_genus(degree)
+    while left:
+        size = draw(st.integers(min_value=1, max_value=min(left, 4)))
+        cusps.append(GapSet(tuple(draw(st.sets(st.integers(1, 12), min_size=size, max_size=size)))))
+        left -= size
+    return CurveSpec(degree, tuple(cusps))
+
+
+def holds(row) -> bool:
+    return row.lhs == row.rhs if row.relation == "==" else row.lhs <= row.rhs
+
+
+class TestRowsReadThePublicAccessors:
+    """Every row equals what inf_conv_n, _k_sequence and the binomial bound give."""
+
+    @staticmethod
+    def assert_row(row, j, lhs, rhs, relation):
+        assert row == (j, lhs, rhs, relation, lhs == rhs)
+        assert type(row) is CheckRow
+
+    @given(gap_sets(max_element=12, max_size=6), gap_sets(max_element=12, max_size=6))
+    @example(EMPTY, B)
+    def test_pair(self, g, h):
+        report = check_pair_inequality(g, h)
+        conv, ks = inf_conv_n([g, h]), checkers._k_sequence((g, h))
+        assert [r.j for r in report.rows] == list(range(g.max_gap + h.max_gap + 2))
+        for row in report.rows:
+            self.assert_row(row, row.j, ks.at(row.j), conv(row.j + 1), "<=")
+
+    def test_pair_reads_points_past_reach_as_zero(self):
+        report = check_pair_inequality(EMPTY, B)
+        conv = inf_conv_n([EMPTY, B])
+        past = [r for r in report.rows if r.j + 1 > conv.cutoff]
+        assert past and all(r.rhs == 0 for r in past)
+
+    @given(curve_specs())
+    def test_bl(self, spec):
+        report = check_bl(spec)
+        conv, d = inf_conv_n(spec.cusps), spec.degree
+        assert [r.j for r in report.rows] == list(range(-1, d - 1))
+        for row in report.rows:
+            j = row.j
+            self.assert_row(row, j, conv(j * d + 1), (j - d + 1) * (j - d + 2) // 2, "==")
+        # row j = -1 reads its point below 0, where the value is the genus sum plus the distance
+        assert report.rows[0].lhs == spec.total_genus + d - 1
+
+    @given(curve_specs())
+    def test_flmn(self, spec):
+        report = check_flmn(spec)
+        conv, ks, d = inf_conv_n(spec.cusps), checkers._k_sequence(spec.cusps), spec.degree
+        assert len(report.rows) == 2 * (d - 2)
+        for j in range(d - 2):
+            m = d * (d - j - 3)
+            binomial, convolution = report.rows[2 * j : 2 * j + 2]
+            self.assert_row(binomial, j, ks.at(m), (j + 1) * (j + 2) // 2, "<=")
+            self.assert_row(convolution, j, ks.at(m), conv(m + 1), "<=")
+
+
+rows_drawn = st.lists(
+    st.builds(
+        lambda j, lhs, rhs, relation: CheckRow(j, lhs, rhs, relation, lhs == rhs),
+        st.integers(-1, 6),
+        st.integers(0, 4),
+        st.integers(0, 4),
+        st.sampled_from(["==", "<="]),
+    ),
+    max_size=8,
+).map(tuple)
+
+
+class TestVerdictFromRows:
+    @given(rows_drawn)
+    def test_verdict_and_witness_agree_with_every_row(self, rows):
+        assert [r.satisfied for r in rows] == [holds(r) for r in rows]
+        report = CheckReport.build("pair", rows, checkers._fail_witness(rows))
+        assert report.passed == all(r.satisfied for r in rows)
+        failing = [r.j for r in rows if not r.satisfied]
+        assert report.witness == ({"j": failing[0]} if failing else None)
+        with pytest.raises(ValueError, match="inconsistent"):
+            CheckReport("pair", "fail" if report.passed else "pass", rows)
 
 
 class TestCurveSpec:

@@ -69,6 +69,29 @@ class TestGapSet:
         assert hash(GapSet((2, 1))) == hash(GapSet((1, 2)))
         assert GapSet((1,)) != GapSet((2,))
 
+    @given(
+        st.lists(st.integers(min_value=1, max_value=12), unique=True, max_size=6),
+        st.lists(st.integers(min_value=1, max_value=12), unique=True, max_size=6),
+        st.randoms(use_true_random=False),
+    )
+    def test_equal_exactly_when_the_element_sets_are(self, a, b, rng):
+        # equality and hashing read the bitmask; neither may depend on input order
+        shuffled = a[:]
+        rng.shuffle(shuffled)
+        assert GapSet(tuple(a)) == GapSet(tuple(shuffled))
+        assert hash(GapSet(tuple(a))) == hash(GapSet(tuple(shuffled)))
+        assert (GapSet(tuple(a)) == GapSet(tuple(b))) == (set(a) == set(b))
+        assert (GapSet(tuple(a)) != GapSet(tuple(b))) == (set(a) != set(b))
+
+    @given(gap_sets())
+    def test_never_equal_to_another_type(self, gs):
+        assert gs != gs.elements
+        assert gs.elements != gs
+        assert gs != GapFunction(gs)
+        assert GapFunction(gs) != gs
+        assert gs.__eq__(gs.elements) is NotImplemented
+        assert gs.__eq__(GapFunction(gs)) is NotImplemented
+
 
 class TestGapsFromGenerators:
     @pytest.mark.parametrize(
@@ -162,6 +185,11 @@ class TestGapFunctionEval:
     def test_zero_above_max_gap(self, gs):
         assert gap_function_eval(gs, gs.max_gap + 1) == 0
 
+    @pytest.mark.parametrize("other", ["x", (1, 3), None])
+    def test_non_gap_set_raises_type_error_naming_the_type(self, other):
+        with pytest.raises(TypeError, match=f"expected GapSet, got {type(other).__name__}$"):
+            gap_function_eval(other, 1)
+
 
 class TestGapFunction:
     def test_matches_eval(self):
@@ -177,3 +205,8 @@ class TestGapFunction:
         assert empty.cutoff == 0
         assert empty.table() == (0,)
         assert empty.genus == 0
+
+    @pytest.mark.parametrize("other", ["x", (1, 3), GapFunction(GapSet((1,)))])
+    def test_non_gap_set_rejected_naming_the_type(self, other):
+        with pytest.raises(TypeError, match=f"expected GapSet, got {type(other).__name__}$"):
+            GapFunction(other)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import re
 from itertools import product
 
@@ -149,6 +150,58 @@ class TestGeneralStepFunctions:
     @given(step_functions(max_len=6), step_functions(max_len=6), step_functions(max_len=6))
     def test_associative(self, f, g, h):
         assert inf_conv_pair(inf_conv_pair(f, g), h) == inf_conv_pair(f, inf_conv_pair(g, h))
+
+
+def every_split_minimum(f: StepFunction, g: StepFunction) -> list:
+    """min of f(x) + g(k - x) over every split of k, tails included, on [0, Kf + Kg]."""
+    span = f.cutoff + g.cutoff + f.genus + g.genus + 2
+    return [
+        min(f(x) + g(k - x) for x in range(-span, span + 1))
+        for k in range(f.cutoff + g.cutoff + 1)
+    ]
+
+
+def long_step_function(genus: int, length: int, seed) -> StepFunction:
+    """A table of the given genus on [0, length - 1], its flat steps at random
+    places, or all at the start for seed None."""
+    drops = [0] * (length - 1 - genus) + [1] * genus
+    if seed is not None:
+        random.Random(seed).shuffle(drops)
+    values = [genus]
+    for d in drops:
+        values.append(values[-1] - d)
+    return StepFunction(genus, tuple(values))
+
+
+class TestPackedKernel:
+    """_pair_table_unit against the minimum over every split, not against the fold."""
+
+    @given(step_functions(max_len=14), step_functions(max_len=6))
+    def test_matches_every_split_minimum_in_both_orders(self, f, g):
+        expected = every_split_minimum(f, g)
+        assert _pair_table_unit(f.values, g.values) == expected
+        assert _pair_table_unit(g.values, f.values) == expected
+        assert _pair_table_unit(list(f.values), list(g.values)) == expected
+
+    # va[0] + vb[0] on either side of the 1-byte and the 2-byte slot's edge.  With
+    # the long table's flat steps first, its first slots sum to the bound in row 0
+    # and one less in the next row.  A split that puts the short table's argument
+    # outside [0, Ks] never wins, as both functions are 1-Lipschitz, so the
+    # expected minimum is taken over [0, Ks]; it is checked against every split
+    # where that brute force is cheap.
+    @pytest.mark.parametrize("seed", [None, 1])
+    @pytest.mark.parametrize("bound", [126, 127, 128, 129, 32767, 32768])
+    def test_slot_width_edges(self, bound, seed):
+        short = StepFunction(5, (5, 4, 3, 2, 1, 0)) if seed is None else long_step_function(5, 9, seed)
+        long = long_step_function(bound - 5, bound + 40, seed)
+        lv, sv = long.values, short.values
+        expected = [
+            min(long(k - y) + sv[y] for y in range(len(sv))) for k in range(len(lv) + len(sv) - 1)
+        ]
+        assert _pair_table_unit(lv, sv) == expected
+        assert _pair_table_unit(sv, lv) == expected
+        if bound < 200:
+            assert expected == every_split_minimum(long, short)
 
 
 class TestFoldCache:
