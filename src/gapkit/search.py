@@ -114,9 +114,7 @@ class Violation:
             raise ValueError(f"j, k and bound must be integers, got {j!r}, {k!r}, {bound!r}")
         if k <= bound:
             raise ValueError(f"not a violation: k = {k} <= bound = {bound}")
-        ordered = tuple(sorted(cusps, key=_genus_lex))
-        # cusps already in order stay the same tuple, which the hits of a multiset share
-        object.__setattr__(self, "cusps", cusps if ordered == cusps else ordered)
+        object.__setattr__(self, "cusps", tuple(sorted(cusps, key=_genus_lex)))
 
     def to_json_dict(self) -> dict:
         return {
@@ -271,21 +269,12 @@ def _in_order(executor, fn, tasks: list, window: int) -> Iterator:
 
 
 def _unit_violations(pool: tuple, layout: _Layout, require_bl: Optional[int], unit: int) -> list:
-    """The violations of a unit, scanned, built and re-verified in the process running it.
-
-    The hits of one multiset share one cusps tuple: the scan gives them one
-    path, and the first hit's sorted tuple is handed on to the next.
-    """
+    """The violations of a unit, scanned, built and re-verified in the process running it."""
     violations = []
-    path = cusps = None
     for at, j, k, bound in _scan_unit(layout, unit, require_bl):
-        if at is not path:
-            path = at
-            cusps = tuple(pool[x] for x in at)
-        violation = Violation(cusps, j, k, bound)
+        violation = Violation(tuple(pool[x] for x in at), j, k, bound)
         if not verify_violation(violation):
             raise RuntimeError(f"internal: violation failed oracle re-verification: {violation}")
-        cusps = violation.cusps
         violations.append(violation)
     return violations
 
