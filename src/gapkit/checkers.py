@@ -19,7 +19,7 @@ from itertools import chain
 from typing import NamedTuple, Optional
 
 from .alexpoly import IntPolynomial, KSequence, alexander_from_gaps, expand_k_sequence, poly_mul
-from .errors import GenusMismatch
+from .errors import GenusMismatch, _internal
 from .gapset import GapSet, _is_int, gap_function_eval
 from .infconv import StepFunction, inf_conv_n, inf_conv_pair, inf_conv_table
 from .infconv import inf_conv_eval  # noqa: F401  (kept as a span site for bench/spans.py)
@@ -135,7 +135,7 @@ def _padded(values: tuple, end: int) -> tuple:
 @lru_cache(maxsize=64)
 def _k_sequence(cusps: tuple[GapSet, ...]) -> KSequence:
     """The k-coefficients of the cusps' product polynomial."""
-    return expand_k_sequence(_product(cusps), sum(c.genus for c in cusps))
+    return _internal(expand_k_sequence, _product(cusps), sum(c.genus for c in cusps))
 
 
 @lru_cache(maxsize=1024)

@@ -2,8 +2,10 @@
 
 Exit codes: 0 success or pass, 1 a checked fail (fail verdict, violations
 found, or a failed validation query), 2 usage or input errors, 3 an internal
-error (a cross-check disagreed or a worker process died), 141 when stdout was
-closed before the output was written (as under `| head`).
+error (any fault of gapkit's own: a cross-check disagreed, a computed value
+broke an input rule, a worker process died, or an exception of any other
+type), 141 when stdout was closed before the output was written (as under
+`| head`).
 
 JSON output writes integers beyond 2^53 in magnitude as decimal strings.  A
 search line is byte-identical to json.dumps of Violation.to_json_dict() under
@@ -31,11 +33,9 @@ from .alexpoly import (
 from .checkers import CheckReport, CurveSpec, check_bl, check_flmn, check_pair_inequality
 from .gapset import GapSet, gap_function_eval, gaps_from_generators, is_semigroup_complement
 from .infconv import StepFunction, inf_conv_n
-from .search import SearchConfig, Violation, search_violations
+from .search import _JSON_INT_LIMIT, SearchConfig, Violation, search_violations
 
 __all__ = ["main"]
-
-_JSON_INT_LIMIT = 2**53
 
 
 def _json_ready(value):
@@ -336,11 +336,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError) as exc:  # an input error: gapkit raises ValueError, a file OSError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:  # BrokenProcessPool is a RuntimeError too
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 3
     except MemoryError:  # never 1, which would read as a checked negative
         print("internal error: out of memory", file=sys.stderr)
+        return 3
+    except Exception as exc:  # any other fault of gapkit's, a dead worker pool included
+        print(f"internal error: {exc}", file=sys.stderr)
         return 3
 
 

@@ -30,3 +30,11 @@ class GenusMismatch(ValueError):
 
 class ConfigInvalid(ValueError):
     """Search configuration is inconsistent or out of range."""
+
+
+def _internal(make, *args):
+    """make(*args) on values gapkit computed: a ValueError there is gapkit's fault, a RuntimeError."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise RuntimeError(f"internal: {exc}") from exc

@@ -27,6 +27,7 @@ from operator import add, sub
 from sys import byteorder
 from typing import Sequence, Union
 
+from .errors import _internal
 from .gapset import GapFunction, GapSet, _is_int, gap_function_eval
 
 __all__ = ["StepFunction", "inf_conv_eval", "inf_conv_table", "inf_conv_pair", "inf_conv_n"]
@@ -165,7 +166,7 @@ def _fold(inputs: tuple[Union[GapSet, StepFunction], ...]) -> StepFunction:
     """
     if len(inputs) > 1:
         table = _pair_table_unit(_fold(inputs[:-1]).values, _fold(inputs[-1:]).values)
-        return StepFunction(table[0], tuple(table))
+        return _internal(StepFunction, table[0], tuple(table))
     x = inputs[0]
     return x if isinstance(x, StepFunction) else StepFunction.from_gap_set(x)
 

@@ -20,6 +20,7 @@ re-verifies its hits there; the parent only records or checks counts and yields.
 from __future__ import annotations
 
 import json
+import re
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
@@ -29,7 +30,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .alexpoly import alexander_from_gaps, expand_k_sequence, poly_mul  # noqa: F401  (span sites for bench/spans.py)
 from .checkers import _cusps, _k_sequence, bl_rows
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, _internal
 from .gapset import GapFunction, GapSet, _is_int, is_semigroup_complement
 from .infconv import inf_conv_eval
 
@@ -126,12 +127,20 @@ class Violation:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Violation":
-        return cls(
-            tuple(GapSet(tuple(c)) for c in data["cusps"]),
-            data["j"],
-            data["k"],
-            data["bound"],
-        )
+        """The violation of a to_json_dict dict or of a search line, which may hold j, k or bound as a string."""
+        j, k, bound = (_json_int(data[key]) for key in ("j", "k", "bound"))
+        return cls(tuple(GapSet(tuple(c)) for c in data["cusps"]), j, k, bound)
+
+
+# JSON output writes an integer beyond 2^53 in magnitude, past a double's exact range, as its decimal string
+_JSON_INT_LIMIT = 2**53
+
+
+def _json_int(value):
+    """value, or the int of a decimal string beyond 2^53 in magnitude, as JSON output writes it."""
+    if type(value) is str and re.fullmatch(r"-?[1-9][0-9]*", value) and abs(int(value)) > _JSON_INT_LIMIT:
+        return int(value)
+    return value
 
 
 def _genus_lex(gap_set: GapSet) -> tuple:
@@ -272,7 +281,7 @@ def _unit_violations(pool: tuple, layout: _Layout, require_bl: Optional[int], un
     """The violations of a unit, scanned, built and re-verified in the process running it."""
     violations = []
     for at, j, k, bound in _scan_unit(layout, unit, require_bl):
-        violation = Violation(tuple(pool[x] for x in at), j, k, bound)
+        violation = _internal(Violation, tuple(pool[x] for x in at), j, k, bound)
         if not verify_violation(violation):
             raise RuntimeError(f"internal: violation failed oracle re-verification: {violation}")
         violations.append(violation)

@@ -14,10 +14,19 @@ from functools import reduce
 import pytest
 from hypothesis import given, strategies as st
 
-from gapkit import Violation, verify_violation
+from gapkit import GapSet, SearchConfig, Violation, alexpoly, search_violations, verify_violation
 from gapkit.cli import _cusps_json, _json_ready, _violation_json, main
 
 from conftest import gap_sets
+
+_mul = alexpoly._mul
+
+
+def _mul_off_by_one(a, b):
+    """The polynomial product with one too many at t^0."""
+    product = _mul(a, b)
+    product[0] += 1
+    return product
 
 
 def run_cli(capsys, *argv):
@@ -261,6 +270,19 @@ class TestSearch:
         assert {"cusps": [[1], [1, 3], [1, 2, 5, 7]], "j": 2, "k": 6, "bound": 5} in docs
         for doc in docs:
             assert verify_violation(Violation.from_json_dict(doc))
+
+    def test_json_lines_read_back_as_the_violations_searched(self, capsys):
+        code, out, _ = run_cli(capsys, "search", "--n", "30", "--pool", "1,3", "--json")
+        assert code == 1
+        docs = [json.loads(line) for line in out.splitlines()]
+        # k beyond 2^53 is written as its decimal string
+        assert len(docs) == 58 and sum(isinstance(doc["k"], str) for doc in docs) == 28
+        read = [Violation.from_json_dict(doc) for doc in docs]
+        assert read == list(search_violations(SearchConfig(n=30, pool=(GapSet((1, 3)),))))
+        assert all(map(verify_violation, read))
+        for k in ("7", "x"):
+            with pytest.raises(ValueError, match="must be integers"):
+                Violation.from_json_dict({**docs[0], "k": k})
 
     def test_pool_text_stream(self, capsys):
         code, out, _ = run_cli(capsys, "search", "--n", "3", "--pool", self.POOL)
@@ -649,6 +671,58 @@ class TestTopLevel:
         code, out, err = run_cli(capsys, "search", "--n", "2", "--max-gap", "3", "--workers", "2")
         assert (code, out) == (3, "")
         assert err.startswith("internal error: ")
+
+    @pytest.mark.parametrize(
+        "target, exc, argv",
+        [
+            ("gapkit.search._scan_unit", IndexError, ("search", "--n", "2", "--max-gap", "3")),
+            ("gapkit.search._scan_unit", IndexError, ("search", "--n", "2", "--max-gap", "3", "--workers", "2")),
+            ("gapkit.checkers._checked", TypeError, ("check", "bl", "--degree", "4", "--cusps", "1;1;1")),
+            ("gapkit.alexpoly._div_t1", IndexError, ("expand", "1,-2,3,-2,1", "2")),
+        ],
+        ids=["search", "search-workers", "check-bl", "expand"],
+    )
+    def test_unexpected_exception_exits_three(self, capsys, monkeypatch, target, exc, argv):
+        # exit 1 would read as a checked negative, and a traceback is no report
+        if "--workers" in argv and multiprocessing.get_start_method() != "fork":
+            pytest.skip("workers must inherit the patch")
+
+        def fault(*args):
+            raise exc("list index out of range")
+
+        monkeypatch.setattr(target, fault)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (3, "", "internal error: list index out of range\n")
+
+    @pytest.mark.parametrize(
+        "target, fault, argv, message",
+        [
+            (
+                "gapkit.infconv._pair_table_unit",
+                lambda va, vb: [1, 2, 0],
+                ("infconv", "1;1,3"),
+                "each step must fall by 0 or 1, not at index 0",
+            ),
+            (
+                "gapkit.search._scan_unit",
+                lambda layout, first, require_bl: [((first,), 2, 2, 2)],
+                ("search", "--n", "1", "--pool", "1"),
+                "not a violation: k = 2 <= bound = 2",
+            ),
+            (
+                "gapkit.alexpoly._mul",
+                _mul_off_by_one,
+                ("check", "flmn", "--degree", "4", "--cusps", "1;1;1"),
+                "P(1) = 3 != 1",
+            ),
+        ],
+        ids=["climbing-fold-table", "scan-hit-with-k-at-bound", "product-off-by-one"],
+    )
+    def test_computed_value_breaking_an_input_rule_exits_three(self, capsys, monkeypatch, target, fault, argv, message):
+        # the rule is an input rule, but the value is gapkit's own, so exit 2 would blame the input
+        monkeypatch.setattr(target, fault)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (3, "", f"internal error: internal: {message}\n")
 
     def test_closed_stdout_exits_quietly(self):
         # 5,915 lines, far more than a pipe holds, so the child is still writing

@@ -234,6 +234,14 @@ class TestFoldCache:
             inputs = [items[i][1](items[i][0]) for i in order]
             assert inf_conv_n(inputs) == self.uncached_fold([items[i][0] for i in order])
 
+    def test_climbing_fold_table_is_an_internal_error(self, monkeypatch):
+        # the same table from a caller is an input error
+        with pytest.raises(ValueError, match="not at index 0"):
+            StepFunction(1, (1, 2, 0))
+        monkeypatch.setattr("gapkit.infconv._pair_table_unit", lambda va, vb: [1, 2, 0])
+        with pytest.raises(RuntimeError, match="^internal: each step must fall by 0 or 1, not at index 0$"):
+            inf_conv_n([GapSet((1,)), GapSet((1, 3))])
+
     def test_one_step_function_per_gap_set(self):
         assert inf_conv_n([C]) is inf_conv_n([GapFunction(C)]) is inf_conv_n([GapSet((1, 2, 5, 7))])
 

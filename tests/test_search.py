@@ -198,6 +198,14 @@ class TestSearchViolations:
         with pytest.raises(RuntimeError, match="re-verification"):
             run(SearchConfig(n=3, pool=TRIPLE_POOL))
 
+    def test_scan_hit_that_is_no_violation_is_an_internal_error(self, monkeypatch):
+        # the same values from a caller are an input error
+        with pytest.raises(ValueError, match="not a violation"):
+            Violation((A,), 2, 2, 2)
+        monkeypatch.setattr("gapkit.search._scan_unit", lambda layout, first, require_bl: [((first,), 2, 2, 2)])
+        with pytest.raises(RuntimeError, match="^internal: not a violation: k = 2 <= bound = 2$"):
+            run(SearchConfig(n=1, pool=(A,)))
+
     @pytest.mark.parametrize(
         "pool", [TRIPLE_POOL, (C, A, B, GapSet((2,)), GapSet((3, 5)))], ids=["genus-lex", "unordered"]
     )
