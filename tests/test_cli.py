@@ -688,11 +688,11 @@ class TestTopLevel:
             pytest.skip("workers must inherit the patch")
 
         def fault(*args):
-            raise exc("list index out of range")
+            raise exc("a planted fault")
 
         monkeypatch.setattr(target, fault)
         code, out, err = run_cli(capsys, *argv)
-        assert (code, out, err) == (3, "", "internal error: list index out of range\n")
+        assert (code, out, err) == (3, "", "internal error: a planted fault\n")
 
     @pytest.mark.parametrize(
         "target, fault, argv, message",
